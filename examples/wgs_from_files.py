@@ -5,7 +5,7 @@ Writes simulated paired-end FASTQ files to disk, then builds the pipeline
 exactly the way the paper's example does — FileLoader, Bundles, Processes
 added one by one, ``pipeline.run()`` — and writes a sorted VCF.
 
-Run:  python examples/wgs_from_files.py [output_dir] [--backend serial|threads|process] [--workers N]
+Run:  python examples/wgs_from_files.py [output_dir] [--backend serial|threads] [--workers N]
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ def main() -> None:
     parser.add_argument("output_dir", nargs="?", default=None)
     parser.add_argument(
         "--backend",
-        choices=["serial", "threads", "process"],
+        choices=["serial", "threads"],
         default="serial",
         help="executor backend for the engine's task pools",
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="worker count for threads/process"
+        "--workers", type=int, default=4, help="worker count for threads"
     )
     parser.add_argument(
         "--malformed",

@@ -2,7 +2,7 @@
 
 One seeded :class:`ChaosPlan` drives every injected fault in a run:
 disk errors and corruption in the block manager, checkpoint store,
-journal, and shuffle; task-level deaths, hangs, and broken pools in the
+journal, and shuffle; task-level deaths and hangs in the
 scheduler; worker deaths, connection resets, and clock skew in the
 serve layer.  Every injection is published as a ``chaos.inject`` event,
 and the same plan + seed always reproduces the identical fault

@@ -4,8 +4,7 @@ Code under test calls one of three hooks at a named injection site:
 
 ``hit(site, **detail)``
     May raise (``enospc``/``eio`` -> :class:`OSError`, ``die`` ->
-    :class:`InjectedFault`, ``broken_pool`` ->
-    :class:`BrokenProcessPool`, ``conn_reset`` ->
+    :class:`InjectedFault`, ``conn_reset`` ->
     :class:`ConnectionResetError`, ``exit`` -> :class:`SystemExit`) or
     delay the calling thread (``slow``/``hang`` sleep ``rule.delay``
     seconds, hard-capped — a chaos hang is *bounded* so the engine's
@@ -24,10 +23,13 @@ counter, so the same plan + seed reproduces the identical ordered fault
 sequence.  Each injection is appended to :attr:`ChaosInjector.log` and
 published as a schema-validated ``chaos.inject`` event.
 
-The injector is picklable (locks and event buses are dropped, as with
-:class:`repro.engine.faults.RandomFaults`) so it can ride into
-process-backend workers; replay assertions should run on the serial or
-thread backend where one process observes the whole sequence.
+The scheduler hits the ``task.attempt`` site before every task attempt,
+so a ``die`` rule there is the engine's task-killing fault injector.
+
+The injector is picklable (locks and event buses are dropped) so it can
+ride to cluster workers with each shipped task; replay assertions should
+run on the serial or thread backend where one process observes the
+whole sequence.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import errno
 import random
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.chaos.plan import (
     DELAY_FAULTS,
@@ -188,23 +189,11 @@ class ChaosInjector:
             return OSError(errno.EIO, message)
         if rule.fault == "die":
             return InjectedFault(message)
-        if rule.fault == "broken_pool":
-            return BrokenProcessPool(message)
         if rule.fault == "conn_reset":
             return ConnectionResetError(errno.ECONNRESET, message)
         if rule.fault == "exit":
             return SystemExit(message)
         raise AssertionError(f"unrealizable fault {rule.fault!r}")
-
-    # -- task-injector protocol (absorbs engine/faults.py ad-hoc hooks) --
-    def __call__(self, stage_kind: str, partition: int, attempt: int) -> None:
-        """Scheduler fault-injector adapter: the ``task.attempt`` site."""
-        self.hit(
-            "task.attempt",
-            stage_kind=stage_kind,
-            partition=partition,
-            attempt=attempt,
-        )
 
     # -- introspection ---------------------------------------------------
     @property
@@ -232,7 +221,7 @@ class ChaosInjector:
             f"rules={len(self.plan.rules)} injected={self.injected}>"
         )
 
-    # -- pickling (rides into process-backend workers) -------------------
+    # -- pickling (rides to cluster workers with each task) --------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]

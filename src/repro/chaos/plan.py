@@ -24,9 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 #: Fault kinds that raise when the site is hit.
-RAISING_FAULTS = frozenset(
-    {"enospc", "eio", "die", "broken_pool", "conn_reset", "exit"}
-)
+RAISING_FAULTS = frozenset({"enospc", "eio", "die", "conn_reset", "exit"})
 #: Fault kinds that delay the hitting thread (bounded by ``delay``).
 DELAY_FAULTS = frozenset({"slow", "hang"})
 #: Fault kinds that mangle bytes passing through the site.
@@ -76,6 +74,8 @@ class ChaosRule:
             raise ValueError("nth counts hits from 1")
         if self.every is not None and self.every < 1:
             raise ValueError("every must be >= 1")
+        if self.max_faults is not None and self.max_faults < 1:
+            raise ValueError("max_faults must be >= 1 (None = unbounded)")
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
 

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=("serial", "threads", "process", "cluster"),
+        choices=("serial", "threads", "cluster"),
         default=None,
         help="executor backend (default: serial, or threads when --threads > 0)",
     )
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="workers for the threads/process backends (default: --threads or 4)",
+        help="workers for the threads backend (default: --threads or 4)",
     )
     _add_cluster_options(run)
     run.add_argument(
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--backend",
-        choices=("serial", "threads", "process", "cluster"),
+        choices=("serial", "threads", "cluster"),
         default="serial",
     )
     _add_cluster_options(srv)

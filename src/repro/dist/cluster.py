@@ -12,10 +12,10 @@ remote ones.
 :class:`ClusterExecutor` implements the :class:`~repro.dist.transport`
 seam: ``execute`` ships one measured task body to a worker slot and
 returns the worker-mutated metrics; everything above it — retries,
-backoff, blacklists, progress — stays in the driver's scheduler.  Any
-failure to ship (no workers, unpicklable closure) degrades to running
-the body inline, so the cluster backend is *always safe to select*, the
-same guarantee the process backend makes via its thread fallback.
+backoff, incident counting, progress — stays in the driver's scheduler.
+Any failure to ship (no workers, unpicklable closure) degrades to
+running the body inline, so the cluster backend is *always safe to
+select*.
 
 Fleets are shared per listen address and refcounted: a serve-layer
 context pool reuses one fleet across many contexts, each isolated by a
@@ -362,14 +362,8 @@ class DriverShuffle:
 class ClusterExecutor(Transport):
     """Ships measured task bodies to a socket-connected worker fleet."""
 
-    def __init__(
-        self,
-        num_workers: int = 4,
-        blacklist_after: int = 3,
-        config=None,
-    ):
+    def __init__(self, num_workers: int = 4, config=None):
         self.num_workers = max(1, num_workers)
-        self.blacklist_after = blacklist_after
         self.config = config
         self.fleet: FleetServer | None = None
         self.ns: int | None = None
@@ -378,7 +372,6 @@ class ClusterExecutor(Transport):
         self._pool: ThreadPoolExecutor | None = None
         self._waited = False
         self._wait_lock = threading.Lock()
-        self.fallback_batches = 0
 
     # -- lifecycle -------------------------------------------------------
     def bind(self, ctx) -> None:
@@ -456,13 +449,12 @@ class ClusterExecutor(Transport):
         )
 
     def _note_fallback(self, reason: str) -> None:
-        self.fallback_batches += 1
         if self.telemetry is not None:
             self.telemetry.inc("executor.fallbacks")
             self.telemetry.inc(f"executor.fallbacks.{reason}")
         if self.events is not None:
             self.events.publish(
-                "executor.incident", incident="fallback_batch", reason=reason
+                "executor.incident", incident="fallback", reason=reason
             )
 
     def _lose(self, slot: WorkerSlot, cause: Exception) -> WorkerLostError:
@@ -562,9 +554,7 @@ class ClusterExecutor(Transport):
 
 
 def make_cluster_transport(
-    num_workers: int = 4, blacklist_after: int = 3, config=None, **_ignored
+    num_workers: int = 4, config=None, **_ignored
 ) -> ClusterExecutor:
     """Factory the transport registry resolves for backend 'cluster'."""
-    return ClusterExecutor(
-        num_workers=num_workers, blacklist_after=blacklist_after, config=config
-    )
+    return ClusterExecutor(num_workers=num_workers, config=config)

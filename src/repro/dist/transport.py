@@ -4,8 +4,8 @@ A *transport* decides where task bodies physically run.  The engine's
 scheduler is transport-agnostic: it builds per-partition thunks, hands
 batches to :meth:`Transport.run_all`, and routes each measured attempt
 through :meth:`Transport.execute` — the single seam a remote transport
-overrides to ship the body somewhere else.  Local transports (serial,
-threads, process — see :mod:`repro.engine.executors`) keep the default
+overrides to ship the body somewhere else.  Local transports (serial
+and threads — see :mod:`repro.engine.executors`) keep the default
 inline ``execute`` and only differ in how ``run_all`` schedules thunks.
 
 The registry decouples backend *names* from backend *imports*: the
@@ -38,11 +38,6 @@ class Transport:
     #: Optional TelemetryRegistry the owning context attaches; backends
     #: count fallbacks, shipped tasks, and transport traffic on it.
     telemetry = None
-    #: Sampling-profiler wiring (process backend only): with an interval
-    #: set, each worker-side chunk runs under a child profiler and the
-    #: folded stacks are handed to ``profile_sink`` on the driver.
-    profile_interval = None
-    profile_sink = None
 
     def bind(self, ctx) -> None:
         """Attach the owning context (remote transports hook shuffle I/O
@@ -55,19 +50,13 @@ class Transport:
     def execute(self, body, task):
         """Run one measured task body; returns ``(task, value)``.
 
-        The scheduler's retry/backoff/blacklist machinery stays on the
+        The scheduler's retry/backoff machinery stays on the
         driver: this is only the *placement* decision.  Local transports
         run the body inline; the cluster transport ships it to a worker
         and returns the worker-mutated :class:`TaskMetrics` so blocked
         time measured remotely lands in the driver's accounting.
         """
         return task, body(task)
-
-    def note_slot_failure(self, reason: str = "") -> bool:
-        """Record an executor-level incident (timeout, broken pool,
-        lost worker).  Returns True when this report tripped a
-        blacklist threshold.  Backends without slots ignore reports."""
-        return False
 
     def missing_map_outputs(self, shuffle_id: int) -> list[int]:
         """Map partitions of ``shuffle_id`` whose output is unreachable
@@ -79,7 +68,7 @@ class Transport:
         pass
 
 
-#: name -> factory(num_workers=..., blacklist_after=..., config=...) -> Transport
+#: name -> factory(num_workers=..., config=...) -> Transport
 _REGISTRY: dict[str, Callable[..., Transport]] = {}
 
 #: Backends resolved on first use: name -> "module.path:factory_name".
@@ -100,9 +89,8 @@ def available_transports() -> list[str]:
 def create_transport(name: str, **kwargs) -> Transport:
     """Instantiate a registered transport backend by name.
 
-    ``kwargs`` carries ``num_workers``, ``blacklist_after``, and the
-    owning ``EngineConfig`` as ``config``; factories take what they need
-    and ignore the rest.
+    ``kwargs`` carries ``num_workers`` and the owning ``EngineConfig``
+    as ``config``; factories take what they need and ignore the rest.
     """
     factory = _REGISTRY.get(name)
     if factory is None and name in _LAZY:

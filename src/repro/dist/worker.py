@@ -441,7 +441,6 @@ class WorkerContext:
         self.events = EventBus()
         self.tracer = NoopTracer()
         self.chaos = None
-        self.fault_injectors: list = []
         from repro.formats.quarantine import QuarantineSink
 
         self.quarantine = QuarantineSink(events=self.events)

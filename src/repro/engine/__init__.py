@@ -33,7 +33,7 @@ from repro.engine.files import (
     load_fastq_pair_lazy,
 )
 from repro.engine.accumulators import Accumulator, counter
-from repro.engine.faults import FaultPlan, RandomFaults, InjectedFault, TaskFailedError
+from repro.engine.faults import InjectedFault, TaskFailedError
 from repro.engine.blockmanager import BlockManager
 from repro.engine.serializers import (
     Serializer,
@@ -63,8 +63,6 @@ __all__ = [
     "load_fastq_pair_lazy",
     "Accumulator",
     "counter",
-    "FaultPlan",
-    "RandomFaults",
     "InjectedFault",
     "TaskFailedError",
     "BlockManager",

@@ -56,10 +56,9 @@ class EngineConfig:
     #: Default partition count for ``parallelize`` when not specified.
     default_parallelism: int = 4
     #: 'serial' (deterministic), 'threads' (NumPy kernels release the
-    #: GIL), or 'process' (spawn-safe pool for pure-Python stages; batches
-    #: with unpicklable closures fall back to threads automatically).
+    #: GIL), or 'cluster' (ships task bodies to ``gpf worker`` nodes).
     executor_backend: str = "serial"
-    #: Workers for the 'threads' and 'process' backends.
+    #: Workers for the 'threads' backend; caps in-flight ships on 'cluster'.
     num_workers: int = 4
     #: 'pickle' (Java-serialization analogue), 'compact' (Kryo), 'gpf', or
     #: a constructed Serializer instance (e.g. GpfRefSerializer).
@@ -94,18 +93,13 @@ class EngineConfig:
     retry_backoff: float = 0.05
     #: Ceiling on a single backoff sleep.
     retry_backoff_max: float = 2.0
-    #: Executor-level incidents (timeouts, broken pools) tolerated before
-    #: the process pool is blacklisted and batches run on threads.
-    blacklist_after: int = 3
     #: Directory for durable RDD checkpoints; defaults inside the spill dir.
     checkpoint_dir: str | None = None
     #: Sampling-profiler interval in seconds.  When set, the context runs
     #: a :class:`~repro.obs.SamplingProfiler` that attributes collapsed
     #: stacks to live spans, publishes ``profile.sample`` events, and
-    #: writes ``<trace_dir>/profile.folded`` at flush.  Process-backend
-    #: workers run their own child profiler and ship folded stacks home
-    #: with the task results.  None (the default) = no sampler thread,
-    #: zero overhead.
+    #: writes ``<trace_dir>/profile.folded`` at flush.  None (the
+    #: default) = no sampler thread, zero overhead.
     profile_interval: float | None = None
     #: Trace output directory.  When set, the context runs a real
     #: :class:`~repro.obs.Tracer`, streams every event to
@@ -116,7 +110,8 @@ class EngineConfig:
     #: Chaos configuration: a :class:`repro.chaos.ChaosPlan` (or an
     #: already-built injector).  When set, a seeded ChaosInjector is
     #: wired into the block manager, shuffle manager, journal, and the
-    #: scheduler's task-attempt hook.  None = no injection, no overhead.
+    #: scheduler's ``task.attempt`` site — the engine's only fault
+    #: injector.  None = no injection, no overhead.
     chaos: object | None = None
     #: Listen address (``"HOST:PORT"``) of the cluster transport's fleet
     #: server; ``"127.0.0.1:0"`` (an ephemeral loopback port) when None.
@@ -198,17 +193,10 @@ class GPFContext:
         self.executor = make_executor(
             self.config.executor_backend,
             self.config.num_workers,
-            blacklist_after=self.config.blacklist_after,
             config=self.config,
         )
         self.executor.events = self.events
         self.executor.telemetry = self.telemetry
-        if self.profiler is not None:
-            # Process-pool batches run a worker-side profiler at the same
-            # interval; folded child stacks come home with the results
-            # and fold into the driver profile here.
-            self.executor.profile_interval = self.config.profile_interval
-            self.executor.profile_sink = self.profiler.merge_counts
         spill = self.config.spill_dir or tempfile.mkdtemp(prefix="gpf_spill_")
         os.makedirs(spill, exist_ok=True)
         self._owns_spill = self.config.spill_dir is None
@@ -243,11 +231,6 @@ class GPFContext:
         )
         self._rdd_partitions: dict[int, int] = {}
         self._closed = False
-        #: Fault injectors consulted at every task attempt (chaos plane
-        #: and resilience tests).
-        self.fault_injectors: list = []
-        if self.chaos is not None and callable(self.chaos):
-            self.fault_injectors.append(self.chaos)
         #: Context-wide sink for malformed input records routed by the
         #: ``malformed="quarantine"`` loader policy.
         self.quarantine = QuarantineSink(events=self.events, chaos=self.chaos)
@@ -273,11 +256,6 @@ class GPFContext:
 
     def broadcast(self, value: T) -> Broadcast[T]:
         return Broadcast(value)
-
-    def add_fault_injector(self, injector) -> None:
-        """Register a callable (stage_kind, partition, attempt) -> None that
-        may raise to kill a task attempt; used by resilience tests."""
-        self.fault_injectors.append(injector)
 
     def accumulator(self, zero=0, op=None, name: str = "") -> Accumulator:
         """Create a write-only shared counter (Spark Accumulator)."""

@@ -4,14 +4,9 @@
 deterministic, ideal for tests.  ``threads`` uses a thread pool; the
 pipeline's hot kernels (pair-HMM, Smith-Waterman, bit packing) are NumPy
 code that releases the GIL, so threads deliver genuine parallel speedup
-for the stages that dominate run time.  ``process`` adds a spawn-safe
-process pool for the pure-Python parts the GIL would otherwise serialize:
-tasks are pickled in chunks on the driver and shipped to workers; batches
-whose closures cannot be pickled (the common case for lineage closures
-that capture an RDD context) transparently fall back to the thread pool,
-so ``process`` is always safe to select.
+for the stages that dominate run time.
 
-All three are *local* transports behind the pluggable
+Both are *local* transports behind the pluggable
 :class:`~repro.dist.transport.Transport` seam; the ``cluster`` backend
 (:mod:`repro.dist.cluster`) resolves through the same registry and ships
 task bodies to socket-connected worker nodes instead.
@@ -19,10 +14,7 @@ task bodies to socket-connected worker nodes instead.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from repro.dist.transport import Transport, create_transport, register_transport
@@ -34,7 +26,7 @@ class Executor(Transport):
     """Runs a batch of task thunks and returns results in order.
 
     Kept as the engine-facing name; the interface (``run_all``,
-    ``execute``, ``bind``, ``note_slot_failure``, ``shutdown``) lives on
+    ``execute``, ``bind``, ``shutdown``) lives on
     :class:`~repro.dist.transport.Transport`.
     """
 
@@ -71,195 +63,14 @@ class ThreadExecutor(Executor):
         self._pool.shutdown(wait=True)
 
 
-def _run_pickled_chunk(blob: bytes) -> bytes:
-    """Worker-side body: unpickle a chunk of thunks, run them in order.
-
-    Module-level (not a closure) so it imports cleanly under the spawn
-    start method, which re-imports this module in the worker instead of
-    inheriting driver state.
-    """
-    tasks = pickle.loads(blob)
-    return pickle.dumps([task() for task in tasks])
-
-
-def _run_pickled_chunk_profiled(blob: bytes, interval: float) -> bytes:
-    """Worker-side body with a child sampling profiler.
-
-    The driver's profiler cannot see into pool workers, so each chunk
-    runs under its own :class:`~repro.obs.SamplingProfiler` (no tracer —
-    there are no spans in the worker) and the folded stacks travel home
-    *with the results* through the existing pickle path.  Stacks are
-    rooted at ``worker:<pid>`` so driver and worker samples stay
-    distinguishable in the merged flamegraph.
-    """
-    import os
-
-    from repro.obs.profiler import SamplingProfiler
-
-    tasks = pickle.loads(blob)
-    profiler = SamplingProfiler(interval=interval)
-    profiler.start()
-    try:
-        results = [task() for task in tasks]
-    finally:
-        profiler.stop()
-    prefix = f"worker:{os.getpid()}"
-    folded = {
-        f"{prefix};{stack}": count for stack, count in profiler.folded().items()
-    }
-    return pickle.dumps((results, folded))
-
-
-class ProcessExecutor(Executor):
-    """Process-pool backend for CPU-bound pure-Python stages.
-
-    Submission is *chunked*: tasks are pre-pickled on the driver into
-    ``num_workers * chunks_per_worker`` chunks, so per-task IPC overhead
-    is amortized and a pickling failure is detected eagerly — before
-    anything is submitted — rather than surfacing as a broken pool.  When
-    any task in the batch is unpicklable (lineage closures capturing the
-    engine context usually are), the whole batch runs on an internal
-    :class:`ThreadExecutor` instead, which preserves result order and
-    exception behaviour exactly.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        chunks_per_worker: int = 4,
-        start_method: str = "spawn",
-        blacklist_after: int = 3,
-    ):
-        if num_workers <= 0:
-            raise ValueError("need at least one worker")
-        if chunks_per_worker <= 0:
-            raise ValueError("need at least one chunk per worker")
-        self.num_workers = num_workers
-        self.chunks_per_worker = chunks_per_worker
-        self.blacklist_after = blacklist_after
-        self._mp_context = multiprocessing.get_context(start_method)
-        self._pool: ProcessPoolExecutor | None = None  # spawned lazily
-        self._fallback = ThreadExecutor(num_workers)
-        self._pool_broken = False
-        #: Batches routed to the thread fallback because of unpicklable
-        #: closures or a broken pool (observable by tests and operators).
-        self.fallback_batches = 0
-        #: Executor-level incidents reported by the scheduler (timeouts,
-        #: broken pools); once they reach ``blacklist_after`` the process
-        #: pool is blacklisted and every batch runs on the thread fallback.
-        self.slot_failures = 0
-        self.blacklisted = False
-
-    def note_slot_failure(self, reason: str = "") -> bool:
-        self.slot_failures += 1
-        if not self.blacklisted and self.slot_failures >= self.blacklist_after:
-            self.blacklisted = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-            return True
-        return False
-
-    def _note_fallback(self, reason: str) -> None:
-        self.fallback_batches += 1
-        # Fallbacks are a capacity signal operators watch: the counter
-        # (total + per-reason) lands in /metrics next to the event.
-        if self.telemetry is not None:
-            self.telemetry.inc("executor.fallbacks")
-            self.telemetry.inc(f"executor.fallbacks.{reason}")
-        if self.events is not None:
-            self.events.publish(
-                "executor.incident", incident="fallback_batch", reason=reason
-            )
-
-    def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        if not tasks:
-            return []
-        if self._pool_broken or self.blacklisted:
-            self._note_fallback("blacklisted" if self.blacklisted else "pool_broken")
-            return self._fallback.run_all(tasks)
-        try:
-            blobs = [
-                pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL)
-                for chunk in self._chunks(tasks)
-            ]
-        except Exception:
-            self._note_fallback("unpicklable")
-            return self._fallback.run_all(tasks)
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.num_workers, mp_context=self._mp_context
-            )
-        # The thread fallback needs no profiled variant: its tasks run in
-        # the driver process, where the context's own profiler already
-        # samples every thread.
-        profiled = self.profile_interval is not None
-        if profiled:
-            futures = [
-                self._pool.submit(
-                    _run_pickled_chunk_profiled, blob, self.profile_interval
-                )
-                for blob in blobs
-            ]
-        else:
-            futures = [
-                self._pool.submit(_run_pickled_chunk, blob) for blob in blobs
-            ]
-        try:
-            result_blobs = _drain_in_order(futures)
-        except BrokenProcessPool:
-            # Spawn-hostile environments (REPL drivers, frozen mains) kill
-            # workers at import time; engine tasks are idempotent (they
-            # recompute from lineage), so rerun the batch on threads and
-            # stop trying processes for this executor's lifetime.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._pool_broken = True
-            self._note_fallback("broken_pool")
-            return self._fallback.run_all(tasks)
-        out: list[T] = []
-        for result_blob in result_blobs:
-            payload = pickle.loads(result_blob)
-            if profiled:
-                results, folded = payload
-                if folded and self.profile_sink is not None:
-                    self.profile_sink(folded)
-                out.extend(results)
-            else:
-                out.extend(payload)
-        return out
-
-    def _chunks(
-        self, tasks: Sequence[Callable[[], T]]
-    ) -> list[Sequence[Callable[[], T]]]:
-        target = self.num_workers * self.chunks_per_worker
-        size = max(1, -(-len(tasks) // target))
-        return [tasks[i : i + size] for i in range(0, len(tasks), size)]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._fallback.shutdown()
-
-
 register_transport("serial", lambda **kwargs: SerialExecutor())
 register_transport(
     "threads", lambda **kwargs: ThreadExecutor(kwargs.get("num_workers", 4))
 )
-register_transport(
-    "process",
-    lambda **kwargs: ProcessExecutor(
-        kwargs.get("num_workers", 4),
-        blacklist_after=kwargs.get("blacklist_after", 3),
-    ),
-)
 
 
-def make_executor(
-    backend: str, num_workers: int = 4, blacklist_after: int = 3, config=None
-) -> Executor:
-    """Executor factory: 'serial', 'threads', 'process', or 'cluster'.
+def make_executor(backend: str, num_workers: int = 4, config=None) -> Executor:
+    """Executor factory: 'serial', 'threads', or 'cluster'.
 
     Resolves through the transport registry, so plugins registered with
     :func:`repro.dist.register_transport` are selectable by name too.
@@ -267,9 +78,4 @@ def make_executor(
     that need more than a worker count — the cluster backend reads its
     listen address and fleet expectations from it.
     """
-    return create_transport(
-        backend,
-        num_workers=num_workers,
-        blacklist_after=blacklist_after,
-        config=config,
-    )
+    return create_transport(backend, num_workers=num_workers, config=config)

@@ -194,8 +194,7 @@ class MetricsRegistry:
 
     # -- executor events ------------------------------------------------------
     def record_executor_event(self, kind: str) -> None:
-        """Count executor-level incidents: timeouts, broken pools,
-        slot blacklisting, thread fallbacks."""
+        """Count executor-level incidents: timeouts and lost workers."""
         with self._lock:
             self._executor_events[kind] = self._executor_events.get(kind, 0) + 1
 

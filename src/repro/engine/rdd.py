@@ -76,7 +76,7 @@ def stable_hash(key: object) -> int:
     """Process-portable key hash (crc32 of the canonical encoding).
 
     Builtin ``hash()`` is salted per interpreter (PYTHONHASHSEED), so two
-    spawn-started workers would bucket the same key differently; every
+    worker processes would bucket the same key differently; every
     shuffle-placement decision goes through this instead.
     """
     return zlib.crc32(_canonical_key_bytes(key))

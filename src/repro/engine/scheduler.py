@@ -10,11 +10,12 @@ comparison (Table 4) measurable here.
 
 Tasks that raise are retried up to ``EngineConfig.max_task_attempts``
 times (Spark's ``spark.task.maxFailures``); a retry recomputes the
-partition from lineage — the RDD resilience property — and registered
-fault injectors (``repro.engine.faults``) can kill attempts to prove it.
+partition from lineage — the RDD resilience property — and the chaos
+plane's ``task.attempt`` site (``EngineConfig.chaos``) can kill attempts
+to prove it.
 
-Retries are hardened three ways (Spark's speculation/blacklisting,
-scaled down):
+Retries are hardened three ways (Spark's task deadlines and failure
+tracking, scaled down):
 
 - **Deadlines** — with ``EngineConfig.task_timeout`` set, each attempt
   runs under a watchdog; a hung attempt is abandoned with
@@ -22,10 +23,10 @@ scaled down):
 - **Backoff** — failed attempts sleep ``retry_backoff * 2**attempt``
   (capped, plus deterministic jitter) before retrying, so a transiently
   overloaded resource is not hammered.
-- **Ledger + blacklisting** — every failed attempt is recorded in the
-  metrics failure ledger keyed by ``(stage_kind, partition)``; repeated
-  executor-level incidents (timeouts, broken process pools) blacklist
-  the process pool, pinning subsequent batches to the thread fallback.
+- **Ledger** — every failed attempt is recorded in the metrics failure
+  ledger keyed by ``(stage_kind, partition)``; executor-level incidents
+  (timeouts, lost workers) are also counted per kind and published as
+  ``executor.incident`` events.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.engine.faults import (
@@ -161,7 +161,7 @@ class DAGScheduler:
         body: Callable[[TaskMetrics], object],
         parent_span=None,
     ) -> tuple[TaskMetrics, object]:
-        """One measured task attempt: injectors, body, GC accounting.
+        """One measured task attempt: chaos site, body, GC accounting.
 
         ``parent_span`` is the stage span: task bodies run on executor
         threads with no thread-local span ancestry, so nesting must be
@@ -177,8 +177,13 @@ class DAGScheduler:
             attempt=attempt,
         ) as span:
             with GC_TIMER.measure() as gc_state:
-                for injector in self.ctx.fault_injectors:
-                    injector(stage_kind, split, attempt)
+                if self.ctx.chaos is not None:
+                    self.ctx.chaos.hit(
+                        "task.attempt",
+                        stage_kind=stage_kind,
+                        partition=split,
+                        attempt=attempt,
+                    )
                 # The transport seam: local transports run the body
                 # inline and hand back the same TaskMetrics; the cluster
                 # transport ships it and returns the worker-mutated copy.
@@ -267,7 +272,7 @@ class DAGScheduler:
         parent_span=None,
         progress: "_StageProgress | None" = None,
     ) -> object:
-        """Run one task body with fault injection + retry; returns its value."""
+        """Run one task body with retry; returns its value."""
         max_attempts = max(1, self.ctx.config.max_task_attempts)
         timeout = self.ctx.config.task_timeout
         events = self.ctx.events
@@ -305,20 +310,14 @@ class DAGScheduler:
                 raise
             except Exception as exc:  # noqa: BLE001 - retry semantics
                 last_error = exc
-                if isinstance(
-                    exc, (TaskTimeoutError, BrokenProcessPool, WorkerLostError)
-                ):
-                    if isinstance(exc, TaskTimeoutError):
-                        kind = "timeout"
-                    elif isinstance(exc, WorkerLostError):
-                        kind = "worker_lost"
-                    else:
-                        kind = "broken_pool"
+                if isinstance(exc, (TaskTimeoutError, WorkerLostError)):
+                    kind = (
+                        "timeout"
+                        if isinstance(exc, TaskTimeoutError)
+                        else "worker_lost"
+                    )
                     self.ctx.metrics.record_executor_event(kind)
                     events.publish("executor.incident", incident=kind)
-                    if self.ctx.executor.note_slot_failure(kind):
-                        self.ctx.metrics.record_executor_event("blacklisted")
-                        events.publish("executor.incident", incident="blacklisted")
                 if isinstance(exc, ShuffleFetchFailedError):
                     # FetchFailed semantics: retrying the reduce against
                     # a dead peer can never succeed — regenerate the lost

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.chaos import ChaosInjector, ChaosPlan, ChaosRule
+from repro.engine.context import EngineConfig, GPFContext
 from repro.engine.faults import InjectedFault
 from repro.obs.events import EventBus, validate_event
 
@@ -160,11 +161,21 @@ class TestObservability:
             assert event["site"] == "s" and event["fault"] == "eio"
             assert event["path"] == "x.bin"
 
-    def test_task_injector_protocol(self):
-        injector = make([ChaosRule(site="task.attempt", fault="die", nth=1)])
-        with pytest.raises(InjectedFault):
-            injector("map", 0, 1)
-        assert injector.site_hits("task.attempt") == 1
+    def test_task_injector_protocol(self, tmp_path):
+        """The scheduler hits ``task.attempt`` once per attempt, with the
+        attempt's identity as event detail."""
+        plan = ChaosPlan(rules=[ChaosRule(site="task.attempt", fault="die", nth=1)])
+        config = EngineConfig(spill_dir=str(tmp_path / "spill"), chaos=plan)
+        with GPFContext(config) as ctx:
+            assert ctx.parallelize(range(4), 2).collect() == [0, 1, 2, 3]
+            injector = ctx.chaos
+        assert injector.site_hits("task.attempt") == 3  # p0 twice, p1 once
+        [entry] = injector.log
+        assert (entry["stage_kind"], entry["partition"], entry["attempt"]) == (
+            "result",
+            0,
+            0,
+        )
 
 
 class TestPickling:

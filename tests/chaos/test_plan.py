@@ -27,6 +27,8 @@ class TestRuleValidation:
             ChaosRule(site="s", fault="eio", every=0)
         with pytest.raises(ValueError, match="site"):
             ChaosRule(site="", fault="eio", nth=1)
+        with pytest.raises(ValueError, match="max_faults"):
+            ChaosRule(site="s", fault="eio", probability=1.0, max_faults=0)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown ChaosRule fields"):

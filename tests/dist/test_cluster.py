@@ -55,7 +55,6 @@ class TestBasicJobs:
             assert result == [x * 2 for x in range(100)]
             assert ctx.telemetry.counter("dist.tasks_shipped") >= 4
             assert ctx.telemetry.counter("executor.fallbacks") == 0
-            assert ctx.executor.fallback_batches == 0
 
     def test_shuffle_runs_peer_to_peer(self, tmp_path):
         with cluster(tmp_path, workers=2, tag="shuf") as (ctx, _):
@@ -150,9 +149,16 @@ class TestWorkerLoss:
                 if time.monotonic() > deadline:
                     pytest.fail("fleet never noticed the dead worker")
                 time.sleep(0.1)
+            seen: list[dict] = []
+            ctx.events.subscribe(seen.append)
             result = ctx.parallelize(range(12), 4).map(lambda x: -x).collect()
             assert result == [-x for x in range(12)]
             assert ctx.telemetry.counter("executor.fallbacks.no_workers") > 0
+            incidents = [e for e in seen if e["kind"] == "executor.incident"]
+            assert incidents
+            assert {(e["incident"], e["reason"]) for e in incidents} == {
+                ("fallback", "no_workers")
+            }
 
     def test_fetch_failure_recovers_lost_map_outputs(self, tmp_path):
         """Kill the worker holding half the map outputs *between* two

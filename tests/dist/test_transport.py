@@ -1,4 +1,4 @@
-"""Transport registry and executor thread-fallback telemetry."""
+"""Transport registry: backend names, factories, inline defaults."""
 
 import pytest
 
@@ -7,13 +7,7 @@ from repro.dist.transport import (
     available_transports,
     create_transport,
 )
-from repro.engine.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
-from repro.obs import TelemetryRegistry
+from repro.engine.executors import SerialExecutor, ThreadExecutor, make_executor
 
 
 class TestRegistry:
@@ -32,17 +26,18 @@ class TestRegistry:
         finally:
             transport.shutdown()
 
-    def test_unknown_backend_names_the_options(self):
+    @pytest.mark.parametrize("name", ["quantum", "process"])
+    def test_unknown_backend_names_the_options(self, name):
         with pytest.raises(ValueError, match="cluster"):
-            create_transport("quantum")
+            create_transport(name)
         with pytest.raises(ValueError, match="unknown executor backend"):
-            make_executor("quantum")
+            make_executor(name)
 
     def test_make_executor_still_builds_locals(self):
-        ex = make_executor("process", num_workers=2, blacklist_after=5)
+        ex = make_executor("threads", num_workers=2)
         try:
-            assert isinstance(ex, ProcessExecutor)
-            assert ex.blacklist_after == 5
+            assert isinstance(ex, ThreadExecutor)
+            assert ex.num_workers == 2
         finally:
             ex.shutdown()
 
@@ -55,56 +50,3 @@ class TestRegistry:
 
     def test_local_transports_never_lose_map_outputs(self):
         assert SerialExecutor().missing_map_outputs(0) == []
-
-
-class TestFallbackTelemetry:
-    """Satellite: thread fallbacks are counted, total and per reason."""
-
-    def test_unpicklable_batch_counts_a_fallback(self):
-        ex = ProcessExecutor(num_workers=2)
-        ex.telemetry = TelemetryRegistry()
-        try:
-            captured = object()  # unpicklable-by-plain-pickle closure
-            results = ex.run_all(
-                [lambda i=i: (id(captured), i)[1] for i in range(4)]
-            )
-            assert results == [0, 1, 2, 3]
-            assert ex.fallback_batches == 1
-            assert ex.telemetry.counter("executor.fallbacks") == 1
-            assert ex.telemetry.counter("executor.fallbacks.unpicklable") == 1
-        finally:
-            ex.shutdown()
-
-    def test_blacklisted_pool_counts_per_reason(self):
-        ex = ProcessExecutor(num_workers=2, blacklist_after=1)
-        ex.telemetry = TelemetryRegistry()
-        try:
-            assert ex.note_slot_failure("timeout") is True
-            assert ex.run_all([lambda: 1, lambda: 2]) == [1, 2]
-            assert ex.telemetry.counter("executor.fallbacks.blacklisted") == 1
-        finally:
-            ex.shutdown()
-
-    def test_fallback_event_reaches_the_bus(self):
-        from repro.obs import EventBus
-
-        seen = []
-        ex = ProcessExecutor(num_workers=2)
-        ex.events = EventBus()
-        ex.events.subscribe(lambda e: seen.append(e))
-        try:
-            captured = object()
-            ex.run_all([lambda: id(captured)])
-        finally:
-            ex.shutdown()
-        incidents = [e for e in seen if e.get("kind") == "executor.incident"]
-        assert incidents and incidents[0]["reason"] == "unpicklable"
-
-    def test_no_telemetry_attached_is_fine(self):
-        ex = ProcessExecutor(num_workers=2)
-        try:
-            captured = object()
-            assert ex.run_all([lambda: (id(captured), 9)[1]]) == [9]
-            assert ex.fallback_batches == 1
-        finally:
-            ex.shutdown()

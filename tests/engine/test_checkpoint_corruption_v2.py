@@ -46,7 +46,7 @@ def short_header(blob: bytes) -> bytes:
 CORRUPTIONS = {"bad_codec_tag": bad_codec_tag, "short_header": short_header}
 
 
-@pytest.mark.parametrize("backend", ["threads", "process"])
+@pytest.mark.parametrize("backend", ["serial", "threads"])
 class TestCheckpointCorruptionV2:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_crc_valid_but_undecodable_recomputes_and_rewrites(

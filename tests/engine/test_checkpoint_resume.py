@@ -1,5 +1,6 @@
 """Fault-tolerance suite: RDD checkpointing, run-journal crash resume,
-task deadlines with backoff, executor blacklisting, shutdown cleanup."""
+task deadlines with backoff, executor incident counting, shutdown
+cleanup."""
 
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ import pytest
 from repro.core.pipeline import Pipeline
 from repro.core.process import Process, ProcessState
 from repro.core.resource import Resource
+from repro.chaos import ChaosInjector, ChaosPlan, ChaosRule
 from repro.engine.context import EngineConfig, GPFContext
-from repro.engine.executors import ProcessExecutor
 from repro.engine.faults import (
     InjectedFault,
-    RandomFaults,
     TaskFailedError,
     TaskTimeoutError,
 )
@@ -265,7 +265,7 @@ class TestJournalResume:
         pipe3, _, _ = _build(ctx, [], n_stages=2)
         assert plan_signature(pipe1.processes) != plan_signature(pipe3.processes)
 
-    @pytest.mark.parametrize("backend", ["threads", "process"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_kill_and_resume_under_random_faults(self, tmp_path, backend):
         """Crash resume is byte-identical even with tasks dying at rate 0.2."""
         jdir = str(tmp_path / "journal")
@@ -275,9 +275,12 @@ class TestJournalResume:
             executor_backend=backend,
             num_workers=2,
             max_task_attempts=8,
+            chaos=ChaosPlan(
+                seed=7,
+                rules=[ChaosRule("task.attempt", "die", probability=0.2)],
+            ),
         )
         with GPFContext(config) as ctx:
-            ctx.add_fault_injector(RandomFaults(rate=0.2, seed=7))
             reference, _, total_ref = _build(ctx, [])
             reference.run()
             expected = pickle.dumps(total_ref.value)
@@ -293,10 +296,11 @@ class TestJournalResume:
             assert [p.name for p in pipe2.skipped] == ["stage0"]
             assert "stage0" not in log
             assert pickle.dumps(total2.value) == expected
+            assert ctx.chaos.injected > 0
 
 
 # ---------------------------------------------------------------------------
-# Task deadlines, backoff, failure ledger, blacklisting
+# Task deadlines, backoff, failure ledger, executor incidents
 # ---------------------------------------------------------------------------
 class TestDeadlinesAndBackoff:
     def test_timeout_kills_hung_task_and_ledgers_backoff(self, tmp_path):
@@ -363,38 +367,30 @@ class TestDeadlinesAndBackoff:
             # Exponential growth until the cap.
             assert scheduler._backoff_delay("result", 0, 9) <= 0.4
 
-    def test_injected_failures_enter_ledger(self, ctx):
-        ctx.add_fault_injector(RandomFaults(rate=1.0, seed=0, max_failures=2))
-        ctx.parallelize(range(6), 2).collect()
-        ledger = ctx.metrics.failures
+    def test_injected_failures_enter_ledger(self, tmp_path):
+        rule = ChaosRule("task.attempt", "die", probability=1.0, max_faults=2)
+        config = EngineConfig(
+            spill_dir=str(tmp_path / "spill"), chaos=ChaosPlan(rules=[rule])
+        )
+        with GPFContext(config) as ctx:
+            ctx.parallelize(range(6), 2).collect()
+            ledger = ctx.metrics.failures
         assert len(ledger) == 2
         assert {f.error_type for f in ledger} == {"InjectedFault"}
 
 
 class TestBlacklisting:
-    def test_process_executor_blacklists_after_repeated_failures(self):
-        executor = ProcessExecutor(num_workers=2, blacklist_after=2)
-        try:
-            assert executor.note_slot_failure("timeout") is False
-            assert executor.note_slot_failure("timeout") is True  # trips
-            assert executor.blacklisted
-            assert executor.note_slot_failure("timeout") is False  # only once
-            before = executor.fallback_batches
-            assert executor.run_all([lambda: 1, lambda: 2]) == [1, 2]
-            assert executor.fallback_batches == before + 1  # thread fallback
-        finally:
-            executor.shutdown()
-
     def test_scheduler_blacklists_slot_on_repeated_timeouts(self, tmp_path):
+        """Every timed-out attempt counts one ``timeout`` executor
+        incident and publishes it on the event bus."""
         config = EngineConfig(
             default_parallelism=1,
             spill_dir=str(tmp_path / "spill"),
-            executor_backend="process",
+            executor_backend="threads",
             num_workers=2,
             task_timeout=0.15,
             max_task_attempts=2,
             retry_backoff=0.0,
-            blacklist_after=1,
         )
 
         def hang(x):
@@ -402,16 +398,20 @@ class TestBlacklisting:
             return x
 
         with GPFContext(config) as ctx:
+            seen: list[dict] = []
+            ctx.events.subscribe(seen.append)
             with pytest.raises(TaskFailedError):
                 ctx.parallelize([1], 1).map(hang).collect()
-            assert ctx.executor.blacklisted
-            events = ctx.metrics.executor_events
-            assert events["timeout"] == 2
-            assert events["blacklisted"] == 1
+            assert ctx.metrics.executor_events == {"timeout": 2}
+            incidents = [
+                e["incident"] for e in seen if e["kind"] == "executor.incident"
+            ]
+            assert incidents == ["timeout", "timeout"]
 
 
 # ---------------------------------------------------------------------------
-# Exceptions survive the process-backend pickle round trip
+# Exceptions and the chaos injector survive a pickle round trip (the
+# cluster wire carries them)
 # ---------------------------------------------------------------------------
 class TestExceptionPickling:
     def test_task_failed_error_round_trip(self):
@@ -428,14 +428,15 @@ class TestExceptionPickling:
         assert clone.timeout == 1.5 and clone.where == "result p0"
 
     def test_injector_round_trip_keeps_determinism(self):
-        injector = RandomFaults(rate=0.5, seed=3)
+        rule = ChaosRule("task.attempt", "die", probability=0.5)
+        injector = ChaosInjector(ChaosPlan(seed=3, rules=[rule]))
         clone = pickle.loads(pickle.dumps(injector))
 
         def trace(inj):
             outcomes = []
             for i in range(20):
                 try:
-                    inj("result", i, 0)
+                    inj.hit("task.attempt", partition=i)
                     outcomes.append(False)
                 except InjectedFault:
                     outcomes.append(True)

@@ -96,18 +96,6 @@ class TestEndToEnd:
             c.key() for c in thread_calls
         )
 
-    def test_process_backend_agrees_with_serial(self, pipeline_inputs, tmp_path):
-        """`make_executor("process", n)` end-to-end: the engine's lineage
-        closures are unpicklable so batches fall back to threads, but the
-        backend must be safe to select and bit-identical to serial."""
-        _, serial_calls, _ = run_pipeline(pipeline_inputs, tmp_path, backend="serial")
-        _, process_calls, _ = run_pipeline(
-            pipeline_inputs, tmp_path, backend="process"
-        )
-        assert sorted(c.key() for c in serial_calls) == sorted(
-            c.key() for c in process_calls
-        )
-
     def test_gpf_agrees_with_disk_pipeline_baseline(
         self, pipeline_inputs, tmp_path
     ):

@@ -20,6 +20,20 @@ def _burn(stop: threading.Event) -> None:
         sum(i * i for i in range(500))
 
 
+def _sampled_run() -> SamplingProfiler:
+    """A profiler that sampled a busy thread for a short real run."""
+    profiler = SamplingProfiler(interval=0.001)
+    stop = threading.Event()
+    worker = threading.Thread(target=_burn, args=(stop,), name="burner")
+    worker.start()
+    profiler.start()
+    time.sleep(0.1)
+    profiler.stop()
+    stop.set()
+    worker.join()
+    return profiler
+
+
 class TestSampling:
     def test_samples_busy_thread_with_qualified_names(self):
         profiler = SamplingProfiler(interval=0.001)
@@ -67,25 +81,25 @@ class TestSampling:
         replayed = sum(e["samples"] for e in samples)
         assert replayed == profiler.samples
 
-    def test_merge_counts_accepts_worker_stacks(self):
-        profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_counts({"worker:123;mod.fn": 4})
-        assert profiler.folded()["worker:123;mod.fn"] == 4
-        assert profiler.samples == 4
-
     def test_reset_clears_everything(self):
-        profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_counts({"a;b": 2})
+        profiler = _sampled_run()
+        assert profiler.samples > 0 and profiler.raw_samples()
         profiler.reset()
         assert profiler.samples == 0
         assert profiler.folded() == {}
+        assert profiler.raw_samples() == []
+        assert profiler.flush() == {}
 
     def test_folded_text_format(self):
-        profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_counts({"a;b": 2, "c": 1})
+        profiler = _sampled_run()
         lines = profiler.folded_text().splitlines()
-        assert lines[0] == "a;b 2"
-        assert lines[1] == "c 1"
+        assert lines
+        parsed = [line.rsplit(" ", 1) for line in lines]
+        counts = [int(n) for _, n in parsed]
+        # "stack count" lines, hottest first, covering every sample.
+        assert counts == sorted(counts, reverse=True)
+        assert sum(counts) == profiler.samples
+        assert {stack: int(n) for stack, n in parsed} == profiler.folded()
 
 
 class TestHelpers:
