@@ -15,7 +15,9 @@ returns the worker-mutated metrics; everything above it — retries,
 backoff, incident counting, progress — stays in the driver's scheduler.
 Any failure to ship (no workers, unpicklable closure) degrades to
 running the body inline, so the cluster backend is *always safe to
-select*.
+select*.  :meth:`ClusterExecutor.bind` makes a
+:class:`~repro.dist.worker.DistShuffle` the context's shuffle manager;
+map outputs reported by workers land in its locations table.
 
 Fleets are shared per listen address and refcounted: a serve-layer
 context pool reuses one fleet across many contexts, each isolated by a
@@ -38,6 +40,7 @@ from repro.dist.spec import parse_hostport
 from repro.dist.transport import Transport
 from repro.dist.worker import DistShuffle, serve_fetch_connection
 from repro.engine.faults import WorkerLostError
+from repro.engine.shuffle import spill_path
 
 
 class WorkerHandle:
@@ -115,8 +118,7 @@ class FleetServer:
             root = self._ns_roots.get(ns)
         if root is None:
             return None
-        path = os.path.join(root, f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin")
-        return path if os.path.exists(path) else None
+        return spill_path(root, shuffle_id, map_p, reduce_p)
 
     # -- connection dispatch ---------------------------------------------
     def _accept_loop(self) -> None:
@@ -327,38 +329,6 @@ def release_fleet(fleet: FleetServer) -> None:
     fleet.shutdown()
 
 
-class DriverShuffle:
-    """Shuffle facade swapped in by :meth:`ClusterExecutor.bind`.
-
-    Registration and completeness bookkeeping stay on the inner
-    :class:`~repro.engine.shuffle.ShuffleManager`; the data path moves to
-    the location-aware :class:`~repro.dist.worker.DistShuffle`, so a map
-    task that runs *inline* (ship fallback) writes to the driver's P2P
-    store and its output is fetchable by remote reduce tasks.
-    """
-
-    def __init__(self, inner, dist: DistShuffle, executor: "ClusterExecutor"):
-        self._inner = inner
-        self._dist = dist
-        self._executor = executor
-
-    def register(self, num_map: int, num_reduce: int) -> int:
-        shuffle_id = self._inner.register(num_map, num_reduce)
-        self._dist.ensure_shuffle(shuffle_id, num_map)
-        return shuffle_id
-
-    def write(self, shuffle_id, map_partition, elements, partition_func, serializer, task):
-        self._dist.write(
-            shuffle_id, map_partition, elements, partition_func, serializer, task
-        )
-
-    def read(self, shuffle_id, reduce_partition, serializer, task):
-        return self._dist.read(shuffle_id, reduce_partition, serializer, task)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class ClusterExecutor(Transport):
     """Ships measured task bodies to a socket-connected worker fleet."""
 
@@ -383,7 +353,6 @@ class ClusterExecutor(Transport):
         )
         self.ns = self.fleet.allocate_ns()
         root = os.path.join(ctx._spill_dir, "dist", f"ns{self.ns}")
-        os.makedirs(root, exist_ok=True)
         self._dist = DistShuffle(
             root,
             self.fleet.advertise_addr,
@@ -391,10 +360,9 @@ class ClusterExecutor(Transport):
             compress=config.shuffle_compression,
             chaos=ctx.chaos,
             telemetry=ctx.telemetry,
-            on_write=self._on_local_write,
         )
         self.fleet.register_ns_root(self.ns, root)
-        ctx.shuffle_manager = DriverShuffle(ctx.shuffle_manager, self._dist, self)
+        ctx.shuffle_manager = self._dist
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -427,24 +395,10 @@ class ClusterExecutor(Transport):
             raise
 
     # -- bookkeeping -----------------------------------------------------
-    def _on_local_write(self, shuffle_id: int, map_partition: int) -> None:
-        """A map output landed in the *driver's* store (inline task)."""
-        self._record_map_output(shuffle_id, map_partition, self.fleet.advertise_addr)
-
-    def _record_map_output(self, shuffle_id, map_partition, addr) -> None:
-        self._dist.add_location(shuffle_id, map_partition, addr)
-        # Keep the inner manager's completeness ledger true: reads that
-        # bypass the dist path (reports, is_complete checks) still work.
-        try:
-            self._ctx.shuffle_manager._inner.mark_map_done(shuffle_id, map_partition)
-        except (AttributeError, KeyError):
-            pass
-
     def missing_map_outputs(self, shuffle_id: int) -> list[int]:
-        entry = self._dist._resolve(shuffle_id)
         return sorted(
             m
-            for m, addr in entry["maps"].items()
+            for m, addr in self._dist.locations(shuffle_id).items()
             if not self.fleet.is_addr_live(addr)
         )
 
@@ -532,7 +486,7 @@ class ClusterExecutor(Transport):
         remote_task = rheader["task"]
         remote_task.worker = rheader.get("worker", worker.id)
         for shuffle_id, map_partition in rheader.get("outputs", ()):
-            self._record_map_output(shuffle_id, map_partition, worker.fetch_addr)
+            self._dist.add_location(shuffle_id, map_partition, worker.fetch_addr)
         counts = rheader.get("telemetry") or {}
         if counts:
             ctx.telemetry.merge_counts(counts)
@@ -552,9 +506,3 @@ class ClusterExecutor(Transport):
             value = pickle.loads(rbody)
         return remote_task, value
 
-
-def make_cluster_transport(
-    num_workers: int = 4, config=None, **_ignored
-) -> ClusterExecutor:
-    """Factory the transport registry resolves for backend 'cluster'."""
-    return ClusterExecutor(num_workers=num_workers, config=config)

@@ -1,4 +1,4 @@
-"""The pluggable Transport interface and its backend registry.
+"""The Transport interface every executor backend implements.
 
 A *transport* decides where task bodies physically run.  The engine's
 scheduler is transport-agnostic: it builds per-partition thunks, hands
@@ -8,16 +8,14 @@ overrides to ship the body somewhere else.  Local transports (serial
 and threads — see :mod:`repro.engine.executors`) keep the default
 inline ``execute`` and only differ in how ``run_all`` schedules thunks.
 
-The registry decouples backend *names* from backend *imports*: the
-cluster transport lives in :mod:`repro.dist.cluster` (which pulls in
-sockets, shipping, fleet state) and is resolved lazily, so importing the
-engine never pays for it and there is no engine -> dist -> engine import
-cycle.
+:func:`repro.engine.executors.make_executor` picks one of the three
+backends by name and imports the cluster transport
+(:mod:`repro.dist.cluster`: sockets, shipping, fleet state) only when
+``cluster`` is asked for, so importing the engine never pays for it.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -26,10 +24,10 @@ T = TypeVar("T")
 class Transport:
     """Where task thunks and task bodies run.
 
-    Lifecycle: built by :func:`create_transport`, then :meth:`bind` is
-    called once by the owning context (after its shuffle manager and
-    block manager exist), then ``run_all``/``execute`` during jobs, then
-    :meth:`shutdown` at context stop.
+    Lifecycle: built by :func:`~repro.engine.executors.make_executor`,
+    then :meth:`bind` is called once by the owning context (after its
+    shuffle manager and block manager exist), then ``run_all``/``execute``
+    during jobs, then :meth:`shutdown` at context stop.
     """
 
     #: Optional EventBus the owning context attaches; backends publish
@@ -40,8 +38,9 @@ class Transport:
     telemetry = None
 
     def bind(self, ctx) -> None:
-        """Attach the owning context (remote transports hook shuffle I/O
-        and allocate their namespace here).  Local transports ignore it."""
+        """Attach the owning context (the cluster transport installs its
+        shuffle and allocates its namespace here).  Local transports
+        ignore it."""
 
     def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
         """Run a batch of task thunks, returning results in order."""
@@ -66,40 +65,3 @@ class Transport:
 
     def shutdown(self) -> None:  # pragma: no cover - trivial default
         pass
-
-
-#: name -> factory(num_workers=..., config=...) -> Transport
-_REGISTRY: dict[str, Callable[..., Transport]] = {}
-
-#: Backends resolved on first use: name -> "module.path:factory_name".
-_LAZY: dict[str, str] = {
-    "cluster": "repro.dist.cluster:make_cluster_transport",
-}
-
-
-def register_transport(name: str, factory: Callable[..., Transport]) -> None:
-    """Register a transport factory under a backend name."""
-    _REGISTRY[name] = factory
-
-
-def available_transports() -> list[str]:
-    return sorted(set(_REGISTRY) | set(_LAZY))
-
-
-def create_transport(name: str, **kwargs) -> Transport:
-    """Instantiate a registered transport backend by name.
-
-    ``kwargs`` carries ``num_workers`` and the owning ``EngineConfig``
-    as ``config``; factories take what they need and ignore the rest.
-    """
-    factory = _REGISTRY.get(name)
-    if factory is None and name in _LAZY:
-        module_name, _, attr = _LAZY[name].partition(":")
-        factory = getattr(importlib.import_module(module_name), attr)
-        _REGISTRY[name] = factory
-    if factory is None:
-        raise ValueError(
-            f"unknown executor backend {name!r}; "
-            f"options: {', '.join(available_transports())}"
-        )
-    return factory(**kwargs)

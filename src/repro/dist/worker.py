@@ -3,10 +3,11 @@
 A worker node runs the *same source tree* as the driver and receives
 task bodies by value (:mod:`repro.dist.shipping`).  Everything a task
 body reaches through ``ctx`` resolves to a :class:`WorkerContext`: a
-worker-local block manager for cache/checkpoint blocks, a
-:class:`DistShuffle` whose reduce side fetches map blocks *from peer
-workers* (never through the driver), and telemetry that travels home
-with each result frame.
+worker-local block manager behind the engine's own cache/checkpoint
+code, a :class:`DistShuffle` — the engine's
+:class:`~repro.engine.shuffle.ShuffleManager` plus a locations table —
+whose reduce side fetches map blocks *from peer workers* (never through
+the driver), and telemetry that travels home with each result frame.
 
 The daemon (``gpf worker --connect HOST:PORT``) opens one task channel
 per slot, serves shuffle blocks to peers on its own listener, and
@@ -23,14 +24,15 @@ import tempfile
 import threading
 import time
 import traceback
-import zlib
 
 from repro.dist import protocol
 from repro.dist.shipping import ship_loads
-from repro.engine.blockmanager import BlockManager, frame_block, unframe_block
-from repro.engine.bundle import PartitionChain, decode_partition, encode_partition
+from repro.engine.blockmanager import BlockManager
+from repro.engine.bundle import PartitionChain, encode_partition
+from repro.engine.context import BlockStoreMixin
 from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import timed
+from repro.engine.shuffle import ShuffleManager, spill_path
 from repro.obs import EventBus, NoopTracer, TelemetryRegistry
 
 
@@ -102,7 +104,9 @@ def serve_fetch_connection(conn: socket.socket, path_for, initial: dict | None =
     """Serve FETCH requests on one connection until the peer hangs up.
 
     ``path_for(ns, shuffle, map, reduce)`` maps a block identity to its
-    file path (or None when the namespace is unknown).  A missing block
+    file path through :func:`~repro.engine.shuffle.spill_path` (or None
+    when the namespace is unknown), so ids that are not non-negative
+    ints never reach the file system.  A missing block or an invalid id
     answers with a pickled :class:`ShuffleFetchFailedError` so the
     fetching task fails with the *typed* error the scheduler's recovery
     path keys on.  ``initial`` is a FETCH header the caller already read
@@ -127,16 +131,16 @@ def serve_fetch_connection(conn: socket.socket, path_for, initial: dict | None =
                     continue
             shuffle_id = header.get("shuffle", -1)
             map_p = header.get("map", -1)
-            path = path_for(
-                header.get("ns", -1), shuffle_id, map_p, header.get("reduce", -1)
-            )
             blob = None
-            if path is not None:
-                try:
+            try:
+                path = path_for(
+                    header.get("ns", -1), shuffle_id, map_p, header.get("reduce", -1)
+                )
+                if path is not None:
                     with open(path, "rb") as fh:
                         blob = fh.read()
-                except OSError:
-                    blob = None
+            except (OSError, TypeError, ShuffleFetchFailedError):
+                blob = None  # unreadable, or ids that name no block
             if blob is None:
                 protocol.send_error(
                     conn,
@@ -183,20 +187,25 @@ def run_block_server(
     return listener, listener.getsockname()[1], thread
 
 
-class DistShuffle:
-    """Peer-to-peer hash shuffle over the spill-file format.
+class DistShuffle(ShuffleManager):
+    """The engine's :class:`~repro.engine.shuffle.ShuffleManager`, spread
+    over the fleet.
 
-    Map tasks write exactly the spill blocks
-    :class:`~repro.engine.shuffle.ShuffleManager` writes (tag byte +
-    crc32 ``GPFB`` frame + ``GPB2`` bundle) into this node's store;
-    reduce tasks read the *locations* table and fetch every remote
-    bucket directly from the owning peer's block server.  Bytes cross
-    the wire in their compressed resident form — no re-pickling.
+    Spill files, their bytes and the counters are the base class's; this
+    subclass adds only what is distributed:
+
+    - the *locations* table (map partition -> ``(host, port)`` of the
+      node whose block server holds its output);
+    - the per-task output manifest a worker returns with each result;
+    - peer FETCH for map outputs held by another node, in their
+      compressed resident form — no re-pickling.
 
     Used on both ends: workers get a per-namespace instance with
-    locations snapshotted from each TASK frame; the driver gets one
-    (wrapped by the cluster transport) whose locations resolve live, so
-    locally-fallen-back tasks interoperate with remote ones.
+    locations snapshotted from each TASK frame; the driver's
+    :class:`~repro.dist.cluster.ClusterExecutor` installs one as
+    ``ctx.shuffle_manager``, whose locations resolve live, so
+    locally-fallen-back tasks interoperate with remote ones.  Fetch time
+    is measured here, so the base class's modelled network charge is off.
     """
 
     def __init__(
@@ -208,65 +217,54 @@ class DistShuffle:
         compress: bool = False,
         chaos=None,
         telemetry=None,
-        on_write=None,
     ):
-        self._root = root
+        super().__init__(
+            root,
+            network_bandwidth=None,
+            compress=compress,
+            telemetry=telemetry,
+            chaos=chaos,
+        )
         self._self_addr = tuple(self_addr)
         self._ns = ns
-        self._compress = compress
-        self._chaos = chaos
-        self._telemetry = telemetry
-        self._on_write = on_write
-        self._lock = threading.Lock()
-        #: shuffle_id -> {"num_map": int, "maps": {map_p: (host, port)}}
-        self._locations: dict[int, dict] = {}
+        #: shuffle_id -> {map_p: (host, port)}; guarded by the base _lock.
+        self._locations: dict[int, dict[int, tuple[str, int]]] = {}
         self._tls = threading.local()
-        os.makedirs(root, exist_ok=True)
 
     # -- locations -------------------------------------------------------
     def set_locations(self, locations: dict) -> None:
         """Merge a TASK frame's locations snapshot (worker side)."""
         with self._lock:
             for shuffle_id, entry in (locations or {}).items():
-                current = self._locations.setdefault(
-                    shuffle_id, {"num_map": entry.get("num_map", 0), "maps": {}}
+                self._num_maps[shuffle_id] = entry["num_map"]
+                self._locations.setdefault(shuffle_id, {}).update(
+                    entry.get("maps", {})
                 )
-                current["num_map"] = entry.get("num_map", current["num_map"])
-                current["maps"].update(entry.get("maps", {}))
-
-    def ensure_shuffle(self, shuffle_id: int, num_map: int) -> None:
-        """Declare a shuffle's map-side width (driver side, at register)."""
-        with self._lock:
-            entry = self._locations.setdefault(
-                shuffle_id, {"num_map": num_map, "maps": {}}
-            )
-            entry["num_map"] = num_map
 
     def add_location(self, shuffle_id: int, map_partition: int, addr) -> None:
-        """Record which node holds one map output (driver side)."""
+        """Record which node holds one map output."""
         with self._lock:
-            entry = self._locations.setdefault(
-                shuffle_id, {"num_map": 0, "maps": {}}
-            )
-            entry["maps"][map_partition] = tuple(addr)
+            self._locations.setdefault(shuffle_id, {})[map_partition] = tuple(addr)
 
     def snapshot_locations(self) -> dict:
         """A picklable copy of the whole locations table (TASK header)."""
         with self._lock:
             return {
-                shuffle_id: {"num_map": e["num_map"], "maps": dict(e["maps"])}
-                for shuffle_id, e in self._locations.items()
+                shuffle_id: {
+                    "num_map": num_map,
+                    "maps": dict(self._locations.get(shuffle_id, {})),
+                }
+                for shuffle_id, num_map in self._num_maps.items()
             }
 
-    def _resolve(self, shuffle_id: int) -> dict:
+    def locations(self, shuffle_id: int) -> dict[int, tuple[str, int]]:
+        """Where each written map output of ``shuffle_id`` lives."""
         with self._lock:
-            entry = self._locations.get(shuffle_id)
-            if entry is None:
-                return {"num_map": 0, "maps": {}}
-            return {"num_map": entry["num_map"], "maps": dict(entry["maps"])}
+            return dict(self._locations.get(shuffle_id, {}))
 
     # -- per-task output manifest (worker side) --------------------------
     def begin_task(self) -> None:
+        """Start collecting this thread's map outputs for the result frame."""
         self._tls.outputs = []
 
     def drain_outputs(self) -> list[tuple[int, int]]:
@@ -274,147 +272,89 @@ class DistShuffle:
         self._tls.outputs = []
         return outputs
 
-    def _record_output(self, shuffle_id: int, map_partition: int) -> None:
-        if self._on_write is not None:
-            self._on_write(shuffle_id, map_partition)
-            return
-        outputs = getattr(self._tls, "outputs", None)
-        if outputs is None:
-            outputs = self._tls.outputs = []
-        outputs.append((shuffle_id, map_partition))
-
     # -- map side --------------------------------------------------------
     def write(
         self, shuffle_id, map_partition, elements, partition_func, serializer, task
     ) -> None:
-        num_reduce = partition_func.num_partitions
-        buckets: list[list] = [[] for _ in range(num_reduce)]
-        records = 0
-        for kv in elements:
-            buckets[partition_func(kv[0])].append(kv)
-            records += 1
-        shuffle_dir = self._shuffle_dir(shuffle_id)
-        os.makedirs(shuffle_dir, exist_ok=True)
-        total = 0
-        for reduce_partition, bucket in enumerate(buckets):
-            body, _ = encode_partition(bucket, serializer)
-            blob = frame_block(body)
-            blob = (b"z" + zlib.compress(blob, 1)) if self._compress else (b"r" + blob)
-            total += len(blob)
-            if self._chaos is not None:
-                self._chaos.hit(
-                    "shuffle.write", shuffle=shuffle_id, map=map_partition
-                )
-            path = os.path.join(shuffle_dir, f"{map_partition}_{reduce_partition}.bin")
-            with timed(task, "disk_blocked"):
-                with open(path, "wb") as fh:
-                    fh.write(blob)
-        task.shuffle_bytes_written += total
-        task.records_written += records
-        if self._telemetry is not None:
-            self._telemetry.inc("shuffle.bytes_written", total)
-            self._telemetry.inc("shuffle.records_written", records)
-        self._record_output(shuffle_id, map_partition)
+        super().write(
+            shuffle_id, map_partition, elements, partition_func, serializer, task
+        )
+        self.add_location(shuffle_id, map_partition, self._self_addr)
+        # A worker reports the output home in its result frame; the
+        # driver never begins a task, so its inline writes stop here.
+        outputs = getattr(self._tls, "outputs", None)
+        if outputs is not None:
+            outputs.append((shuffle_id, map_partition))
 
     # -- reduce side -----------------------------------------------------
     def read(self, shuffle_id, reduce_partition, serializer, task) -> PartitionChain:
-        entry = self._resolve(shuffle_id)
-        num_map = entry["num_map"]
-        maps = entry["maps"]
-        if len(maps) < num_map:
-            missing = sorted(set(range(num_map)) - set(maps))
-            raise ShuffleFetchFailedError(
-                shuffle_id, missing[0] if missing else -1, where="no location"
-            )
-        parts: list = []
-        total = 0
-        peer_socks: dict[tuple[str, int], socket.socket] = {}
+        with self._lock:
+            num_map = self._num_maps.get(shuffle_id, 0)
+            maps = dict(self._locations.get(shuffle_id, {}))
+        missing = [m for m in range(num_map) if m not in maps]
+        if missing:
+            raise ShuffleFetchFailedError(shuffle_id, missing[0], where="no location")
+        # Peer connections live for this one read: one socket per peer,
+        # reused across that peer's map outputs, closed on the way out.
+        self._tls.fetch = (maps, {})
         try:
-            for map_partition in range(num_map):
-                addr = tuple(maps[map_partition])
-                local = addr == self._self_addr
-                if local:
-                    path = os.path.join(
-                        self._shuffle_dir(shuffle_id),
-                        f"{map_partition}_{reduce_partition}.bin",
-                    )
-                    try:
-                        with timed(task, "disk_blocked"):
-                            with open(path, "rb") as fh:
-                                blob = fh.read()
-                    except OSError as exc:
-                        raise ShuffleFetchFailedError(
-                            shuffle_id, map_partition, where=str(exc)
-                        ) from exc
-                else:
-                    if self._chaos is not None:
-                        # dist.fetch faults: a hit simulates a dead or
-                        # refusing peer (typed as a fetch failure so the
-                        # scheduler's recovery path exercises), a mangle
-                        # corrupts the fetched bytes so the crc below
-                        # fails the attempt.
-                        try:
-                            self._chaos.hit(
-                                "dist.fetch", shuffle=shuffle_id, map=map_partition
-                            )
-                        except Exception as exc:  # noqa: BLE001 - typed below
-                            raise ShuffleFetchFailedError(
-                                shuffle_id, map_partition, where=f"chaos: {exc}"
-                            ) from exc
-                    try:
-                        sock = peer_socks.get(addr)
-                        if sock is None:
-                            sock = socket.create_connection(addr, timeout=FETCH_TIMEOUT)
-                            peer_socks[addr] = sock
-                        with timed(task, "network_blocked"):
-                            blob = fetch_block(
-                                sock, self._ns, shuffle_id, map_partition, reduce_partition
-                            )
-                    except ShuffleFetchFailedError:
-                        raise
-                    except (OSError, protocol.ProtocolError) as exc:
-                        raise ShuffleFetchFailedError(
-                            shuffle_id, map_partition, where=f"{addr[0]}:{addr[1]}: {exc}"
-                        ) from exc
-                    if self._chaos is not None:
-                        blob = self._chaos.mangle(
-                            "dist.fetch", blob, shuffle=shuffle_id, map=map_partition
-                        )
-                    if self._telemetry is not None:
-                        self._telemetry.inc("dist.fetch_bytes", len(blob))
-                        self._telemetry.inc("dist.fetches")
-                total += len(blob)
-                tag, body = blob[:1], blob[1:]
-                if tag == b"z":
-                    body = zlib.decompress(body)
-                part = decode_partition(unframe_block(body), serializer)
-                if part:
-                    parts.append(part)
+            return super().read(shuffle_id, reduce_partition, serializer, task)
         finally:
+            _, peer_socks = self._tls.fetch
+            self._tls.fetch = None
             for sock in peer_socks.values():
                 try:
                     sock.close()
                 except OSError:
                     pass
-        chain = PartitionChain(parts)
-        records = len(chain)
-        task.shuffle_bytes_read += total
-        task.records_read += records
+
+    def _fetch(self, shuffle_id, map_partition, reduce_partition, task) -> bytes:
+        maps, peer_socks = self._tls.fetch
+        addr = tuple(maps[map_partition])
+        if addr == self._self_addr:
+            return super()._fetch(shuffle_id, map_partition, reduce_partition, task)
+        if self._chaos is not None:
+            # dist.fetch faults: a hit simulates a dead or refusing peer
+            # (typed as a fetch failure so the scheduler's recovery path
+            # exercises), a mangle corrupts the fetched bytes so the crc
+            # check fails the attempt.
+            try:
+                self._chaos.hit("dist.fetch", shuffle=shuffle_id, map=map_partition)
+            except Exception as exc:  # noqa: BLE001 - typed below
+                raise ShuffleFetchFailedError(
+                    shuffle_id, map_partition, where=f"chaos: {exc}"
+                ) from exc
+        try:
+            sock = peer_socks.get(addr)
+            if sock is None:
+                sock = socket.create_connection(addr, timeout=FETCH_TIMEOUT)
+                peer_socks[addr] = sock
+            with timed(task, "network_blocked"):
+                blob = fetch_block(
+                    sock, self._ns, shuffle_id, map_partition, reduce_partition
+                )
+        except ShuffleFetchFailedError:
+            raise
+        except (OSError, protocol.ProtocolError) as exc:
+            raise ShuffleFetchFailedError(
+                shuffle_id, map_partition, where=f"{addr[0]}:{addr[1]}: {exc}"
+            ) from exc
+        if self._chaos is not None:
+            blob = self._chaos.mangle(
+                "dist.fetch", blob, shuffle=shuffle_id, map=map_partition
+            )
         if self._telemetry is not None:
-            self._telemetry.inc("shuffle.bytes_read", total)
-            self._telemetry.inc("shuffle.records_read", records)
-        return chain
-
-    # -- paths -----------------------------------------------------------
-    def _shuffle_dir(self, shuffle_id: int) -> str:
-        return os.path.join(self._root, f"shuffle_{shuffle_id}")
+            self._telemetry.inc("dist.fetch_bytes", len(blob))
+            self._telemetry.inc("dist.fetches")
+        return blob
 
 
-class WorkerContext:
+class WorkerContext(BlockStoreMixin):
     """The ``ctx`` a shipped task body sees on a worker node.
 
     Implements exactly the context surface lineage code touches at
-    *compute* time: serializer, cache/checkpoint block I/O (worker-local
+    *compute* time: serializer, cache/checkpoint block I/O (the engine's
+    :class:`~repro.engine.context.BlockStoreMixin` over a worker-local
     block manager — a partition cached by one task is reused by the next
     task of the same namespace), the P2P shuffle, telemetry, and an
     inert event bus.  Driver-only machinery (scheduler, executor,
@@ -458,53 +398,6 @@ class WorkerContext:
             compress=compress,
             telemetry=self.telemetry,
         )
-
-    # -- cache (mirrors GPFContext, worker-local store) ------------------
-    def _cache_get(self, rdd, split: int):
-        blob = self.block_manager.get((rdd.id, split))
-        if blob is None:
-            return None
-        return decode_partition(
-            blob, self.serializer, telemetry=self.telemetry,
-            batch_size=self.decode_batch_size,
-        )
-
-    def _cache_put(self, rdd, split: int, data) -> None:
-        blob, bundle = encode_partition(data, self.serializer)
-        self.block_manager.put(
-            (rdd.id, split), blob, logical_bytes=bundle.logical_bytes
-        )
-
-    def _cache_evict(self, rdd) -> None:
-        self.block_manager.evict_rdd(rdd.id)
-
-    def _cache_complete(self, rdd) -> bool:
-        return all(
-            self.block_manager.contains((rdd.id, split))
-            for split in range(rdd.num_partitions)
-        )
-
-    # -- checkpoints -----------------------------------------------------
-    def _checkpoint_put(self, rdd, split: int, data) -> str:
-        blob, _ = encode_partition(data, self.serializer)
-        return self.block_manager.put_checkpoint((rdd.id, split), blob)
-
-    def _checkpoint_get(self, rdd, split: int):
-        blob = self.block_manager.get_checkpoint((rdd.id, split))
-        if blob is None:
-            return None
-        try:
-            part = decode_partition(
-                blob, self.serializer, telemetry=self.telemetry,
-                batch_size=self.decode_batch_size,
-            )
-            if hasattr(part, "batches"):
-                for _ in part.batches():
-                    pass
-        except Exception:  # noqa: BLE001 - undecodable => recompute
-            self.block_manager.discard_checkpoint((rdd.id, split))
-            return None
-        return part
 
     # -- guards ----------------------------------------------------------
     def run_job(self, rdd, partitions=None):
@@ -569,10 +462,13 @@ class WorkerDaemon:
         return wctx
 
     def _block_path(self, ns: int, shuffle_id: int, map_p: int, reduce_p: int):
-        path = os.path.join(
-            self.root_dir, f"ns{ns}", f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin"
+        with self._contexts_lock:
+            known = ns in self._contexts
+        if not known:
+            return None
+        return spill_path(
+            os.path.join(self.root_dir, f"ns{ns}"), shuffle_id, map_p, reduce_p
         )
-        return path if os.path.exists(path) else None
 
     # -- task execution --------------------------------------------------
     def _run_task(self, header: dict, body_blob: bytes) -> tuple[dict, bytes]:

@@ -6,10 +6,10 @@ pipeline's hot kernels (pair-HMM, Smith-Waterman, bit packing) are NumPy
 code that releases the GIL, so threads deliver genuine parallel speedup
 for the stages that dominate run time.
 
-Both are *local* transports behind the pluggable
+Both are *local* transports behind the
 :class:`~repro.dist.transport.Transport` seam; the ``cluster`` backend
-(:mod:`repro.dist.cluster`) resolves through the same registry and ships
-task bodies to socket-connected worker nodes instead.
+(:mod:`repro.dist.cluster`) ships task bodies to socket-connected worker
+nodes instead.  :func:`make_executor` picks one of the three by name.
 """
 
 from __future__ import annotations
@@ -17,18 +17,9 @@ from __future__ import annotations
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-from repro.dist.transport import Transport, create_transport, register_transport
+from repro.dist.transport import Transport
 
 T = TypeVar("T")
-
-
-class Executor(Transport):
-    """Runs a batch of task thunks and returns results in order.
-
-    Kept as the engine-facing name; the interface (``run_all``,
-    ``execute``, ``bind``, ``shutdown``) lives on
-    :class:`~repro.dist.transport.Transport`.
-    """
 
 
 def _drain_in_order(futures: Sequence[Future]) -> list:
@@ -43,12 +34,12 @@ def _drain_in_order(futures: Sequence[Future]) -> list:
         raise
 
 
-class SerialExecutor(Executor):
+class SerialExecutor(Transport):
     def run_all(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
         return [task() for task in tasks]
 
 
-class ThreadExecutor(Executor):
+class ThreadExecutor(Transport):
     def __init__(self, num_workers: int):
         if num_workers <= 0:
             raise ValueError("need at least one worker")
@@ -63,19 +54,20 @@ class ThreadExecutor(Executor):
         self._pool.shutdown(wait=True)
 
 
-register_transport("serial", lambda **kwargs: SerialExecutor())
-register_transport(
-    "threads", lambda **kwargs: ThreadExecutor(kwargs.get("num_workers", 4))
-)
-
-
-def make_executor(backend: str, num_workers: int = 4, config=None) -> Executor:
+def make_executor(backend: str, num_workers: int = 4, config=None) -> Transport:
     """Executor factory: 'serial', 'threads', or 'cluster'.
 
-    Resolves through the transport registry, so plugins registered with
-    :func:`repro.dist.register_transport` are selectable by name too.
-    ``config`` (the owning ``EngineConfig``) is forwarded for transports
-    that need more than a worker count — the cluster backend reads its
-    listen address and fleet expectations from it.
+    ``config`` (the owning ``EngineConfig``) is only read by the cluster
+    backend, for its listen address and fleet expectations.
     """
-    return create_transport(backend, num_workers=num_workers, config=config)
+    if backend == "serial":
+        return SerialExecutor()
+    if backend == "threads":
+        return ThreadExecutor(num_workers)
+    if backend == "cluster":
+        from repro.dist.cluster import ClusterExecutor
+
+        return ClusterExecutor(num_workers=num_workers, config=config)
+    raise ValueError(
+        f"unknown executor backend {backend!r}; options: cluster, serial, threads"
+    )

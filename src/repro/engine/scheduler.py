@@ -384,9 +384,7 @@ class DAGScheduler:
     def _run_map_stage(self, dep: "ShuffleDependency") -> None:
         parent = dep.parent
         stage = self.ctx.metrics.new_stage(name=f"shuffle-map:{parent.name}")
-        shuffle_id = self.ctx.shuffle_manager.register(
-            parent.num_partitions, dep.partitioner.num_partitions
-        )
+        shuffle_id = self.ctx.shuffle_manager.register(parent.num_partitions)
         self.ctx.events.publish(
             "stage.start", stage_id=stage.stage_id, name=stage.name
         )

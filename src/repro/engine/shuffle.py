@@ -1,11 +1,21 @@
-"""Hash shuffle with real spill files.
+"""Hash shuffle with real spill files — the only spill writer and reader.
 
 Spark writes *all* shuffle data to disk, even for in-memory workloads — a
 fact the paper leans on ("even in-memory workloads store shuffle data on
 disk", §5.3.1).  This shuffle manager does the same: map tasks bucket their
 output by the partitioner, serialize each bucket with the RDD's serializer,
-and write one spill file per (shuffle, map partition, reduce partition).
-Reduce tasks read the files back.
+and write one spill file per (shuffle, map partition, reduce partition),
+named by :func:`spill_path`.  Reduce tasks read the files back.
+
+Every backend runs this code.  The cluster's
+:class:`~repro.dist.worker.DistShuffle` subclasses :class:`ShuffleManager`
+and overrides only the per-map fetch step (:meth:`ShuffleManager._fetch`)
+to pull blocks that another node holds from that peer.
+
+A spill file that cannot be opened or read raises
+:class:`~repro.engine.faults.ShuffleFetchFailedError`, so the scheduler
+regenerates that map output from lineage on every backend.  Injected
+``shuffle.fetch`` faults and crc failures stay plain, retried errors.
 
 Time spent inside file read/write is recorded as *disk-blocked* time on the
 running task.  Network-blocked time is modelled: a reduce task reading
@@ -20,28 +30,29 @@ import os
 import shutil
 import threading
 import zlib
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.engine.blockmanager import frame_block, unframe_block
 from repro.engine.bundle import PartitionChain, decode_partition, encode_partition
+from repro.engine.faults import ShuffleFetchFailedError
 from repro.engine.metrics import TaskMetrics, timed
 from repro.engine.serializers import Serializer
 
 
-@dataclass
-class ShuffleWriteInfo:
-    """Bookkeeping for one completed shuffle's map side."""
+def spill_path(root: str, shuffle_id: int, map_p: int, reduce_p: int) -> str:
+    """The spill file of one (shuffle, map, reduce) block under ``root``.
 
-    shuffle_id: int
-    num_map_partitions: int
-    num_reduce_partitions: int
-    bytes_written: int = 0
-    map_done: set[int] = field(default_factory=set)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.map_done) == self.num_map_partitions
+    Ids must be non-negative ``int``\\ s: the block servers take them off
+    the wire, and anything else (a string holding ``..``) could name a
+    file outside ``root``.  Raises :class:`ShuffleFetchFailedError`
+    without touching the file system otherwise.
+    """
+    for value in (shuffle_id, map_p, reduce_p):
+        if type(value) is not int or value < 0:
+            raise ShuffleFetchFailedError(
+                shuffle_id, map_p, where=f"invalid block id {value!r}"
+            )
+    return os.path.join(root, f"shuffle_{shuffle_id}", f"{map_p}_{reduce_p}.bin")
 
 
 class ShuffleManager:
@@ -68,46 +79,19 @@ class ShuffleManager:
         #: codes its payload; the ablation benches flip it per run.
         self._compress = compress
         self._lock = threading.Lock()
-        self._shuffles: dict[int, ShuffleWriteInfo] = {}
+        #: shuffle_id -> number of map partitions.
+        self._num_maps: dict[int, int] = {}
         self._next_id = 0
         os.makedirs(spill_dir, exist_ok=True)
 
     # -- registration ----------------------------------------------------
-    def register(self, num_map: int, num_reduce: int) -> int:
-        """Allocate a shuffle id and its spill directory."""
+    def register(self, num_map: int) -> int:
+        """Allocate a shuffle id for a map side of ``num_map`` partitions."""
         with self._lock:
             shuffle_id = self._next_id
             self._next_id += 1
-            self._shuffles[shuffle_id] = ShuffleWriteInfo(
-                shuffle_id, num_map, num_reduce
-            )
-        os.makedirs(self._shuffle_dir(shuffle_id), exist_ok=True)
+            self._num_maps[shuffle_id] = num_map
         return shuffle_id
-
-    def info(self, shuffle_id: int) -> ShuffleWriteInfo:
-        with self._lock:
-            return self._shuffles[shuffle_id]
-
-    def is_complete(self, shuffle_id: int) -> bool:
-        with self._lock:
-            return (
-                shuffle_id in self._shuffles and self._shuffles[shuffle_id].complete
-            )
-
-    def mark_map_done(
-        self, shuffle_id: int, map_partition: int, bytes_written: int = 0
-    ) -> None:
-        """Record one map partition as written.
-
-        ``write`` does this implicitly for spills through this manager;
-        the cluster transport calls it for map outputs that landed in the
-        distributed store so the completeness ledger stays authoritative
-        no matter where the bytes live.
-        """
-        with self._lock:
-            info = self._shuffles[shuffle_id]
-            info.map_done.add(map_partition)
-            info.bytes_written += bytes_written
 
     # -- map side ----------------------------------------------------------
     def write(
@@ -120,14 +104,15 @@ class ShuffleManager:
         task: TaskMetrics,
     ) -> None:
         """Bucket key-value pairs and spill each bucket to disk."""
-        with self._lock:
-            info = self._shuffles[shuffle_id]
-            num_reduce = info.num_reduce_partitions
-        buckets: list[list] = [[] for _ in range(num_reduce)]
+        buckets: list[list] = [[] for _ in range(partition_func.num_partitions)]
         records = 0
         for kv in elements:
             buckets[partition_func(kv[0])].append(kv)
             records += 1
+        shuffle_dir = os.path.dirname(
+            spill_path(self._spill_dir, shuffle_id, map_partition, 0)
+        )
+        os.makedirs(shuffle_dir, exist_ok=True)
         total = 0
         for reduce_partition, bucket in enumerate(buckets):
             # Spill the compressed block form (crc32-framed v2 bundle):
@@ -140,7 +125,9 @@ class ShuffleManager:
             else:
                 blob = b"r" + blob
             total += len(blob)
-            path = self._block_path(shuffle_id, map_partition, reduce_partition)
+            path = spill_path(
+                self._spill_dir, shuffle_id, map_partition, reduce_partition
+            )
             if self._chaos is not None:
                 # An injected ENOSPC/EIO here kills the map attempt; the
                 # scheduler retries it and the rewrite overwrites any
@@ -156,9 +143,6 @@ class ShuffleManager:
         if self._telemetry is not None:
             self._telemetry.inc("shuffle.bytes_written", total)
             self._telemetry.inc("shuffle.records_written", records)
-        with self._lock:
-            info.bytes_written += total
-            info.map_done.add(map_partition)
 
     # -- reduce side --------------------------------------------------------
     def read(
@@ -175,32 +159,11 @@ class ShuffleManager:
         never holds the whole fetched input as one record list.
         """
         with self._lock:
-            info = self._shuffles[shuffle_id]
-            num_map = info.num_map_partitions
-            map_done = set(info.map_done)
-        if len(map_done) != num_map:
-            missing = set(range(num_map)) - map_done
-            raise RuntimeError(
-                f"shuffle {shuffle_id} map side incomplete; missing maps {sorted(missing)}"
-            )
+            num_map = self._num_maps[shuffle_id]
         parts: list = []
         total = 0
         for map_partition in range(num_map):
-            path = self._block_path(shuffle_id, map_partition, reduce_partition)
-            with timed(task, "disk_blocked"):
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            if self._chaos is not None:
-                # Fetch faults: a hit raises (connection-reset-class
-                # failure), a mangle damages only this in-memory copy —
-                # the crc check below fails the attempt, and the retry
-                # re-reads the intact spill file.
-                self._chaos.hit(
-                    "shuffle.fetch", shuffle=shuffle_id, map=map_partition
-                )
-                blob = self._chaos.mangle(
-                    "shuffle.fetch", blob, shuffle=shuffle_id, map=map_partition
-                )
+            blob = self._fetch(shuffle_id, map_partition, reduce_partition, task)
             total += len(blob)
             tag, body = blob[:1], blob[1:]
             if tag == b"z":
@@ -221,21 +184,40 @@ class ShuffleManager:
             task.network_blocked += total * remote_fraction / self._network_bandwidth
         return chain
 
-    # -- cleanup ---------------------------------------------------------
-    def total_bytes_written(self) -> int:
-        with self._lock:
-            return sum(s.bytes_written for s in self._shuffles.values())
+    def _fetch(
+        self,
+        shuffle_id: int,
+        map_partition: int,
+        reduce_partition: int,
+        task: TaskMetrics,
+    ) -> bytes:
+        """One map output's bucket for ``reduce_partition``, as spilled."""
+        path = spill_path(self._spill_dir, shuffle_id, map_partition, reduce_partition)
+        try:
+            with timed(task, "disk_blocked"):
+                with open(path, "rb") as fh:
+                    blob = fh.read()
+        except OSError as exc:
+            # A lost spill file never comes back by re-reading it: the
+            # typed error makes the scheduler rewrite this map output.
+            raise ShuffleFetchFailedError(
+                shuffle_id, map_partition, where=str(exc)
+            ) from exc
+        if self._chaos is not None:
+            # Fetch faults: a hit raises (connection-reset-class
+            # failure), a mangle damages only this in-memory copy —
+            # the crc check in read() fails the attempt, and the retry
+            # re-reads the intact spill file.
+            self._chaos.hit("shuffle.fetch", shuffle=shuffle_id, map=map_partition)
+            blob = self._chaos.mangle(
+                "shuffle.fetch", blob, shuffle=shuffle_id, map=map_partition
+            )
+        return blob
 
+    # -- cleanup ---------------------------------------------------------
     def cleanup(self) -> None:
         """Delete every spill file and reset shuffle state."""
         shutil.rmtree(self._spill_dir, ignore_errors=True)
         os.makedirs(self._spill_dir, exist_ok=True)
         with self._lock:
-            self._shuffles.clear()
-
-    # -- paths --------------------------------------------------------------
-    def _shuffle_dir(self, shuffle_id: int) -> str:
-        return os.path.join(self._spill_dir, f"shuffle_{shuffle_id}")
-
-    def _block_path(self, shuffle_id: int, map_p: int, reduce_p: int) -> str:
-        return os.path.join(self._shuffle_dir(shuffle_id), f"{map_p}_{reduce_p}.bin")
+            self._num_maps.clear()

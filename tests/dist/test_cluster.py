@@ -92,6 +92,13 @@ class TestBasicJobs:
             )
             assert per_worker == ctx.telemetry.counter("dist.tasks_shipped")
 
+    def test_worker_cache_writes_count_encode_time(self, tmp_path):
+        with cluster(tmp_path, workers=1, tag="cache") as (ctx, _):
+            rdd = ctx.parallelize(range(200), 4).map(lambda x: (x, x)).persist()
+            assert rdd.collect() == [(x, x) for x in range(200)]
+            assert ctx.telemetry.counter("dist.tasks_shipped") >= 4
+            assert ctx.telemetry.counter("blockmanager.encode_seconds") > 0
+
     def test_fleet_snapshot_rows(self, tmp_path):
         with cluster(tmp_path, workers=2, slots=3, tag="snap") as (ctx, daemons):
             # wait_for_workers returns on the first slot of each worker;
@@ -192,6 +199,38 @@ class TestChaosSites:
             result = ctx.parallelize(range(20), 4).map(lambda x: x + 5).collect()
             assert result == [x + 5 for x in range(20)]
             assert len(ctx.metrics.failures) >= 1
+
+    @pytest.mark.parametrize("fault", ["conn_reset", "corrupt"])
+    def test_dist_fetch_fault_is_survived(self, tmp_path, fault):
+        """A peer fetch that resets (typed fetch failure -> map regen) or
+        returns flipped bytes (crc failure -> retry) costs one attempt.
+
+        The maps ship to the workers; the reduce side runs on the driver
+        (its closure holds a lock, so it cannot ship) and fetches every
+        map output from a peer.  That keeps the firing on the driver's
+        own injector, where the test can see it: a shipped task carries
+        a copy of the injector whose hits never come back.
+        """
+        from repro.chaos import ChaosPlan
+
+        data = [(f"k{i % 7}", i) for i in range(80)]
+        with GPFContext(EngineConfig(spill_dir=str(tmp_path / "ref"))) as ref:
+            expected = sorted(ref.parallelize(data, 4).reduce_by_key(max).collect())
+        plan = ChaosPlan(
+            seed=3, rules=[{"site": "dist.fetch", "fault": fault, "nth": 1}]
+        )
+        lock = threading.Lock()
+        with cluster(tmp_path, workers=2, tag=f"fetch-{fault}", chaos=plan) as (ctx, _):
+            shuffled = ctx.parallelize(data, 4).reduce_by_key(max)
+            result = sorted(shuffled.map(lambda kv: (lock, kv)[1]).collect())
+            assert result == expected
+            assert ("dist.fetch", fault, 1) in ctx.chaos.sequence()
+            kinds = {f.error_type for f in ctx.metrics.failures}
+            assert kinds == {
+                "conn_reset": {"ShuffleFetchFailedError"},
+                "corrupt": {"BlockCorruptionError"},
+            }[fault]
+            assert ctx.telemetry.counter("executor.fallbacks.unpicklable") > 0
 
     def test_dist_heartbeat_fault_evicts_the_worker(self, tmp_path):
         from repro.chaos import ChaosPlan

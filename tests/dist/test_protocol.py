@@ -153,6 +153,45 @@ class TestErrorTransport:
         assert decoded.shuffle_id == 5
         assert decoded.map_partition == 2
 
+    @pytest.mark.parametrize(
+        "ns, shuffle_id, map_p, reduce_p",
+        [
+            (0, 0, "../../../outside/secret", "x"),
+            (0, "../../outside", 0, 0),
+            (0, 0, -1, 0),
+            (0, 0, True, 0),
+            (0, 0, 1.0, 0),
+            ([0], 0, 1, 0),
+        ],
+    )
+    def test_block_server_refuses_ids_outside_its_root(
+        self, tmp_path, ns, shuffle_id, map_p, reduce_p
+    ):
+        from repro.dist.worker import WorkerDaemon, fetch_block, run_block_server
+        from repro.engine.serializers import get_serializer
+        from repro.engine.shuffle import spill_path
+
+        daemon = WorkerDaemon(("127.0.0.1", 9), root_dir=str(tmp_path / "root"))
+        daemon._context_for({"ns": 0, "serializer": get_serializer("gpf")})
+        block = spill_path(str(tmp_path / "root" / "ns0"), 0, 1, 0)
+        (tmp_path / "root" / "ns0" / "shuffle_0").mkdir()
+        with open(block, "wb") as fh:
+            fh.write(b"inside")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "secret_x.bin").write_bytes(b"secret")
+        (outside / "0_0.bin").write_bytes(b"secret")
+        listener, port, _ = run_block_server("127.0.0.1", daemon._block_path)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                with pytest.raises(ShuffleFetchFailedError):
+                    fetch_block(sock, ns, shuffle_id, map_p, reduce_p)
+                # The refusal is a reply, not a hang-up: the channel
+                # still serves a valid block afterwards.
+                assert fetch_block(sock, 0, 0, 1, 0) == b"inside"
+        finally:
+            listener.close()
+
     def test_unpicklable_exception_degrades_to_remote_error(self, pair):
         a, b = pair
 

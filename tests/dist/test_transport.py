@@ -1,37 +1,33 @@
-"""Transport registry: backend names, factories, inline defaults."""
+"""Backend selection: make_executor's three backends, inline defaults."""
 
 import pytest
 
-from repro.dist.transport import (
-    Transport,
-    available_transports,
-    create_transport,
-)
+from repro.dist.transport import Transport
 from repro.engine.executors import SerialExecutor, ThreadExecutor, make_executor
 
 
-class TestRegistry:
+class TestMakeExecutor:
     def test_builtin_backends_resolve(self):
-        assert isinstance(create_transport("serial"), SerialExecutor)
-        threads = create_transport("threads", num_workers=2)
+        assert isinstance(make_executor("serial"), SerialExecutor)
+        threads = make_executor("threads", num_workers=2)
         assert isinstance(threads, ThreadExecutor)
         threads.shutdown()
 
-    def test_cluster_is_listed_and_lazily_resolvable(self):
-        assert "cluster" in available_transports()
-        transport = create_transport("cluster", num_workers=2)
+    def test_cluster_is_imported_on_demand(self):
+        transport = make_executor("cluster", num_workers=2)
         try:
             assert isinstance(transport, Transport)
             assert type(transport).__name__ == "ClusterExecutor"
+            assert transport.num_workers == 2
         finally:
             transport.shutdown()
 
     @pytest.mark.parametrize("name", ["quantum", "process"])
     def test_unknown_backend_names_the_options(self, name):
-        with pytest.raises(ValueError, match="cluster"):
-            create_transport(name)
-        with pytest.raises(ValueError, match="unknown executor backend"):
+        with pytest.raises(ValueError, match="unknown executor backend") as info:
             make_executor(name)
+        for option in ("cluster", "serial", "threads"):
+            assert option in str(info.value)
 
     def test_make_executor_still_builds_locals(self):
         ex = make_executor("threads", num_workers=2)

@@ -101,10 +101,9 @@ class TestMemoryBudget:
         finally:
             context.stop()
 
-    def test_budget_takes_precedence_over_cache_limit(self, tmp_path):
+    def test_budget_above_working_set_never_evicts(self, tmp_path):
         config = EngineConfig(
             spill_dir=str(tmp_path / "s"),
-            cache_memory_limit=1,
             memory_budget=1 << 30,
         )
         context = GPFContext(config)

@@ -199,7 +199,7 @@ class TestExecutors:
             ex.shutdown()
 
     def test_make_executor_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="options: cluster, serial, threads"):
             make_executor("mpi")
         with pytest.raises(ValueError):
             ThreadExecutor(0)

@@ -96,6 +96,31 @@ class TestSpillFiles:
             ]
             assert files, "shuffle must spill to disk even for in-memory data"
 
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_lost_spill_file_is_recovered_from_lineage(self, tmp_path, backend):
+        spill = tmp_path / "spill"
+        config = EngineConfig(
+            spill_dir=str(spill), executor_backend=backend, num_workers=2
+        )
+        with GPFContext(config) as ctx:
+            data = [(f"k{i % 5}", i) for i in range(60)]
+            shuffled = ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b)
+            first = sorted(shuffled.collect())
+            spills = sorted(spill.glob("shuffle_*/*.bin"))
+            assert spills
+            spills[0].unlink()
+            seen: list[dict] = []
+            ctx.events.subscribe(seen.append)
+            assert sorted(shuffled.collect()) == first
+            recoveries = [
+                e
+                for e in seen
+                if e["kind"] == "executor.incident"
+                and e["incident"] == "shuffle_recovery"
+            ]
+            assert len(recoveries) == 1
+            assert spills[0].exists()  # the map output was rewritten
+
 
 class TestShuffleCompression:
     def test_compressed_shuffle_roundtrips(self, tmp_path):
