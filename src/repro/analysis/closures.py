@@ -649,6 +649,7 @@ def iter_lineage_functions(rdd) -> Iterator[tuple[str, Callable]]:
             combine = getattr(dep, "map_side_combine", None)
             if callable(combine) and hasattr(combine, "__code__"):
                 yield current.name, combine
+            stack.append(getattr(dep, "parent", None))
         stack.extend(getattr(current, "parents", ()))
 
 

@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.dist import protocol
-from repro.dist.shipping import ship_dumps
+from repro.dist.shipping import ship_task
 from repro.dist.spec import parse_hostport
 from repro.dist.transport import Transport
 from repro.dist.worker import DistShuffle, serve_fetch_connection
@@ -448,7 +448,7 @@ class ClusterExecutor(Transport):
             # the scheduler's retry ships again.
             chaos.hit("dist.ship", partition=task.partition)
         try:
-            blob = ship_dumps((body, task), ctx)
+            blob, shuffle_ids = ship_task((body, task), ctx)
         except Exception:  # noqa: BLE001 - unship-able => run it here
             self._note_fallback("unpicklable")
             return task, body(task)
@@ -467,7 +467,7 @@ class ClusterExecutor(Transport):
                 raise self._lose(slot, exc) from exc
         header = {
             "ns": self.ns,
-            "locations": self._dist.snapshot_locations(),
+            "locations": self._dist.snapshot_locations(shuffle_ids),
             "serializer": ctx.serializer,
             "batch": ctx.config.decode_batch_size,
             "compress": ctx.config.shuffle_compression,

@@ -22,6 +22,12 @@ compressed bundle form (the serializer's §4.1-codec payload) rather
 than as pickled record lists — task ship traffic shrinks by the codec's
 compression ratio and the worker decodes lazily per batch.
 
+A shipped lineage stops at each shuffle it reads: a
+:class:`~repro.engine.rdd.ShuffleDependency` pickles without its map
+side, and the pickler records its ``shuffle_id`` so the TASK header
+carries only the locations of the shuffles the task reads
+(:func:`ship_task`).
+
 Limits (all safe): marshalled code requires the same interpreter
 version on both ends — true for loopback fleets and documented for real
 ones; a function whose cell is still empty (recursive forward
@@ -39,6 +45,7 @@ import pickle
 import types
 
 from repro.engine.bundle import decode_partition, encode_partition
+from repro.engine.rdd import ShuffleDependency
 
 #: Persistent-id token standing in for the driver context.
 CTX_TOKEN = "gpf:ctx"
@@ -120,6 +127,11 @@ class ShipPickler(pickle.Pickler):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._ctx = ctx
         self._serializer = getattr(ctx, "serializer", None)
+        #: Ids of the written shuffles the pickled object reads: every
+        #: ShuffleDependency that crosses the wire is a shuffle read (its
+        #: map side stays behind), so the TASK header needs only these
+        #: locations.
+        self.shuffle_ids: set[int] = set()
 
     # The driver context never crosses the wire; the worker substitutes
     # its own.  Identity comparison: a context is unique per driver.
@@ -139,6 +151,8 @@ class ShipPickler(pickle.Pickler):
             return (_import_module, (obj.__name__,))
         if self._serializer is not None and type(obj).__name__ == "ParallelCollectionRDD":
             return self._reduce_pcrdd(obj)
+        if isinstance(obj, ShuffleDependency) and obj.shuffle_id is not None:
+            self.shuffle_ids.add(obj.shuffle_id)
         return NotImplemented
 
     def _reduce_function(self, func: types.FunctionType):
@@ -193,11 +207,18 @@ class ShipUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
+def ship_task(obj, ctx) -> tuple[bytes, set[int]]:
+    """Serialize ``obj`` for the wire, swapping out the driver ``ctx``;
+    also returns the ids of the written shuffles it reads."""
+    buffer = io.BytesIO()
+    pickler = ShipPickler(buffer, ctx)
+    pickler.dump(obj)
+    return buffer.getvalue(), pickler.shuffle_ids
+
+
 def ship_dumps(obj, ctx) -> bytes:
     """Serialize ``obj`` for the wire, swapping out the driver ``ctx``."""
-    buffer = io.BytesIO()
-    ShipPickler(buffer, ctx).dump(obj)
-    return buffer.getvalue()
+    return ship_task(obj, ctx)[0]
 
 
 def ship_loads(blob: bytes, ctx):

@@ -246,15 +246,17 @@ class DistShuffle(ShuffleManager):
         with self._lock:
             self._locations.setdefault(shuffle_id, {})[map_partition] = tuple(addr)
 
-    def snapshot_locations(self) -> dict:
-        """A picklable copy of the whole locations table (TASK header)."""
+    def snapshot_locations(self, shuffle_ids) -> dict:
+        """A picklable copy of the locations of ``shuffle_ids`` (TASK
+        header): only the shuffles the shipped task reads."""
         with self._lock:
             return {
                 shuffle_id: {
-                    "num_map": num_map,
+                    "num_map": self._num_maps[shuffle_id],
                     "maps": dict(self._locations.get(shuffle_id, {})),
                 }
-                for shuffle_id, num_map in self._num_maps.items()
+                for shuffle_id in shuffle_ids
+                if shuffle_id in self._num_maps
             }
 
     def locations(self, shuffle_id: int) -> dict[int, tuple[str, int]]:
@@ -289,8 +291,10 @@ class DistShuffle(ShuffleManager):
     # -- reduce side -----------------------------------------------------
     def read(self, shuffle_id, reduce_partition, serializer, task) -> PartitionChain:
         with self._lock:
-            num_map = self._num_maps.get(shuffle_id, 0)
+            num_map = self._num_maps.get(shuffle_id)
             maps = dict(self._locations.get(shuffle_id, {}))
+        if num_map is None:
+            raise ShuffleFetchFailedError(shuffle_id, -1, where="unknown shuffle")
         missing = [m for m in range(num_map) if m not in maps]
         if missing:
             raise ShuffleFetchFailedError(shuffle_id, missing[0], where="no location")

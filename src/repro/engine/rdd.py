@@ -124,13 +124,23 @@ class FuncPartitioner(Partitioner):
 # ---------------------------------------------------------------------------
 @dataclass
 class ShuffleDependency:
-    """A wide dependency: the parent's output is re-bucketed by key."""
+    """A wide dependency: the parent's output is re-bucketed by key.
 
-    parent: "RDD"
+    ``parent`` (the map side) is driver-only, like Spark's transient
+    ``ShuffleDependency._rdd``: a reduce task reads the written shuffle
+    and never recomputes the map side, so a pickled dependency drops
+    it.  A shipped task therefore carries the lineage of its own stage
+    only, cut at every shuffle it reads.
+    """
+
+    parent: "RDD | None"
     partitioner: Partitioner
     #: Optional map-side combiner: list[(k, v)] -> list[(k, combined)].
     map_side_combine: Callable[[list[tuple]], list[tuple]] | None = None
     shuffle_id: int | None = None  # assigned when the map stage runs
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "parent": None}
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +160,7 @@ class RDD:
         self.ctx = ctx
         self.num_partitions = num_partitions
         self.id = ctx._register_rdd(self)
+        #: Narrow parents only; a shuffle's map side is ``dep.parent``.
         self.parents = list(parents)
         self.shuffle_deps = list(shuffle_deps)
         self.name = name or type(self).__name__
@@ -759,7 +770,6 @@ class ShuffledRDD(RDD):
         super().__init__(
             parent.ctx,
             partitioner.num_partitions,
-            parents=[parent],
             shuffle_deps=[dep],
             name="shuffled",
         )
@@ -785,7 +795,6 @@ class CoGroupedRDD(RDD):
         super().__init__(
             ctx,
             partitioner.num_partitions,
-            parents=parents,
             shuffle_deps=deps,
             name="cogroup",
         )

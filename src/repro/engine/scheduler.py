@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+import weakref
 from typing import Callable, Sequence, TYPE_CHECKING
 
 from repro.engine.faults import (
@@ -111,13 +112,39 @@ class _StageProgress:
         self._events.publish("progress.stage", **payload)
 
 
+def _map_task(ctx: "GPFContext", dep: "ShuffleDependency", shuffle_id: int, split: int):
+    """The body of one shuffle-map task: compute ``split`` of the map
+    side and write it as map output ``split`` of ``shuffle_id``.
+
+    Module level on purpose: the body closes over exactly these values,
+    never over the scheduler, whose ``_map_specs`` would drag the lineage
+    of every shuffle the context ran into each shipped task.
+    """
+    parent = dep.parent
+
+    def body(task: TaskMetrics) -> None:
+        elements = parent.iterator(split, task)
+        if dep.map_side_combine is not None:
+            elements = dep.map_side_combine(elements)
+        ctx.shuffle_manager.write(
+            shuffle_id, split, elements, dep.partitioner, parent.serializer, task
+        )
+
+    return body
+
+
 class DAGScheduler:
     def __init__(self, ctx: "GPFContext"):
         self.ctx = ctx
         #: shuffle_id -> ShuffleDependency, kept after each map stage so
         #: lost map outputs can be regenerated from lineage on a
         #: shuffle-fetch failure (Spark's FetchFailed resubmission).
-        self._map_specs: dict[int, "ShuffleDependency"] = {}
+        #: Held weakly: only a shuffle some live RDD still reads can need
+        #: recovery, and a strong table would pin every finished job's
+        #: lineage (inputs, broadcasts) for the life of a warm context.
+        self._map_specs: "weakref.WeakValueDictionary[int, ShuffleDependency]" = (
+            weakref.WeakValueDictionary()
+        )
 
     # -- public ------------------------------------------------------------
     def run_job(self, rdd: "RDD", partitions: Sequence[int] | None = None) -> list[list]:
@@ -141,13 +168,14 @@ class DAGScheduler:
             # partitions will come from the cache, not from re-computation.
             if node._persisted and self.ctx._cache_complete(node):
                 return
+            # A shuffle's map side is reached only through its
+            # dependency: wide RDDs do not list it among their parents.
             for dep in node.shuffle_deps:
                 visit(dep.parent)
                 if dep.shuffle_id is None and dep not in ordered:
                     ordered.append(dep)
             for parent in node.parents:
-                if parent not in [d.parent for d in node.shuffle_deps]:
-                    visit(parent)
+                visit(parent)
 
         visit(rdd)
         return ordered
@@ -396,24 +424,11 @@ class DAGScheduler:
             progress.start()
 
         def make_task(split: int, stage_span):
-            def body(task: TaskMetrics) -> None:
-                elements = parent.iterator(split, task)
-                if dep.map_side_combine is not None:
-                    elements = dep.map_side_combine(elements)
-                self.ctx.shuffle_manager.write(
-                    shuffle_id,
-                    split,
-                    elements,
-                    dep.partitioner,
-                    parent.serializer,
-                    task,
-                )
-
             def run() -> None:
                 self._run_with_retries(
                     "shuffle-map",
                     split,
-                    body,
+                    _map_task(self.ctx, dep, shuffle_id, split),
                     lambda task: self.ctx.metrics.add_task(stage, task),
                     parent_span=stage_span,
                     progress=progress,
@@ -459,24 +474,10 @@ class DAGScheduler:
             shuffle_id=failure.shuffle_id,
             maps=len(missing),
         )
-        parent = dep.parent
         for split in sorted(missing):
-
-            def body(task: TaskMetrics, split: int = split) -> None:
-                elements = parent.iterator(split, task)
-                if dep.map_side_combine is not None:
-                    elements = dep.map_side_combine(elements)
-                self.ctx.shuffle_manager.write(
-                    failure.shuffle_id,
-                    split,
-                    elements,
-                    dep.partitioner,
-                    parent.serializer,
-                    task,
-                )
-
             self.ctx.executor.execute(
-                body, TaskMetrics(partition=split, attempt=0)
+                _map_task(self.ctx, dep, failure.shuffle_id, split),
+                TaskMetrics(partition=split, attempt=0),
             )
 
     def _run_result_stage(

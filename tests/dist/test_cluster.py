@@ -7,13 +7,17 @@ heartbeat, loss) without subprocess overhead.
 """
 
 import contextlib
+import pickle
 import threading
 import time
 
 import pytest
 
-from repro.dist.worker import WorkerDaemon
+from repro.dist import protocol
+from repro.dist.worker import DistShuffle, WorkerDaemon
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.faults import ShuffleFetchFailedError
+from repro.engine.metrics import TaskMetrics
 
 
 @contextlib.contextmanager
@@ -116,6 +120,61 @@ class TestBasicJobs:
                 assert row["alive"] is True
                 assert row["slots"] == 3
                 assert ":" in row["fetch"]
+
+
+class TestWarmContextShipping:
+    """Jobs on one warm context ship what their own stages need, so the
+    bytes per task stay flat however many jobs ran before."""
+
+    @staticmethod
+    def _shuffle_job(ctx):
+        data = [(f"k{i % 7}", i) for i in range(140)]
+        summed = ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b)
+        assert sum(v for _, v in summed.collect()) == sum(range(140))
+        return summed.parents[0].shuffle_deps[0].shuffle_id
+
+    def test_identical_jobs_ship_equal_bytes(self, tmp_path):
+        with cluster(tmp_path, workers=1, tag="eq") as (ctx, _):
+            shipped = []
+            for _ in range(2):
+                before = ctx.telemetry.counter("dist.bytes_shipped")
+                self._shuffle_job(ctx)
+                shipped.append(ctx.telemetry.counter("dist.bytes_shipped") - before)
+            assert ctx.telemetry.counter("executor.fallbacks") == 0
+            assert shipped[0] > 0
+            assert shipped[1] == shipped[0]
+
+    def test_task_header_carries_only_the_shuffles_it_reads(
+        self, tmp_path, monkeypatch
+    ):
+        headers: list[dict] = []
+        send_frame = protocol.send_frame
+
+        def recording_send(sock, kind, header=None, body=b""):
+            if kind == protocol.MSG_TASK:
+                headers.append(header)
+            return send_frame(sock, kind, header, body)
+
+        monkeypatch.setattr(protocol, "send_frame", recording_send)
+        with cluster(tmp_path, workers=1, tag="hdr") as (ctx, _):
+            sizes = []
+            for _ in range(3):
+                headers.clear()
+                shuffle_id = self._shuffle_job(ctx)
+                reduce_headers = [h for h in headers if h["locations"]]
+                assert len(reduce_headers) == 4
+                assert len(headers) == 8  # the 4 map tasks read no shuffle
+                for header in reduce_headers:
+                    assert set(header["locations"]) == {shuffle_id}
+                sizes.append(len(pickle.dumps(reduce_headers[0]["locations"])))
+            assert ctx.telemetry.counter("executor.fallbacks") == 0
+            assert sizes[2] == sizes[0]
+
+    def test_shuffle_missing_from_the_header_is_a_fetch_failure(self, tmp_path):
+        shuffle = DistShuffle(str(tmp_path / "worker"), ("127.0.0.1", 0))
+        shuffle.set_locations({})
+        with pytest.raises(ShuffleFetchFailedError, match="unknown shuffle"):
+            shuffle.read(3, 0, None, TaskMetrics(partition=0))
 
 
 class TestWorkerLoss:

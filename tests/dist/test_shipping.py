@@ -5,6 +5,7 @@ partial reads, and the GPB2 compressed-bundle path for
 ``ParallelCollectionRDD`` slices with worker-side lazy decode.
 """
 
+import io
 import os
 import pickle
 import socket
@@ -12,9 +13,11 @@ import socket
 import pytest
 
 from repro.dist import protocol
-from repro.dist.shipping import CTX_TOKEN, ship_dumps, ship_loads
+from repro.dist.shipping import CTX_TOKEN, ShipPickler, ship_dumps, ship_loads
 from repro.dist.spec import format_hostport
 from repro.engine.context import EngineConfig, GPFContext
+from repro.engine.rdd import ShuffleDependency
+from repro.engine.scheduler import DAGScheduler
 
 HELPER_CONSTANT = 7
 
@@ -105,10 +108,6 @@ class TestContextToken:
         assert loaded["n"] == 3
 
     def test_unknown_persistent_id_is_rejected(self, ctx):
-        import io
-
-        from repro.dist.shipping import ShipPickler
-
         marker = object()
 
         class WrongPid(ShipPickler):
@@ -175,3 +174,50 @@ class TestParallelCollectionBundles:
         assert [func(x) for part in rdd._slices for x in part] == [
             x + 1 for x in data
         ]
+
+
+class TestStageCut:
+    """A shipped task carries its own stage only: lineage stops at each
+    shuffle it reads, and no scheduler rides along."""
+
+    @staticmethod
+    def _shuffled(ctx, n):
+        return ctx.parallelize([(i % 5, i) for i in range(n)], 4).reduce_by_key(
+            lambda a, b: a + b
+        )
+
+    def test_shuffle_dependency_ships_without_its_map_side(self, ctx, worker_ctx):
+        shuffled = self._shuffled(ctx, 40).parents[0]
+        loaded = ship_loads(ship_dumps(shuffled, ctx), worker_ctx)
+        assert loaded.shuffle_deps[0].parent is None
+        assert loaded.parents == []
+        assert shuffled.shuffle_deps[0].parent is not None  # driver keeps it
+
+    def test_blob_does_not_grow_with_the_input_above_the_shuffle(self, ctx):
+        small = ship_dumps(self._shuffled(ctx, 8), ctx)
+        large = ship_dumps(self._shuffled(ctx, 4000), ctx)
+        assert len(large) == len(small)
+
+    def test_task_bodies_do_not_carry_the_scheduler(self, ctx, monkeypatch):
+        bodies = []
+        execute = ctx.executor.execute
+
+        def recording_execute(body, task):
+            bodies.append(body)
+            return execute(body, task)
+
+        monkeypatch.setattr(ctx.executor, "execute", recording_execute)
+        self._shuffled(ctx, 40).collect()
+        assert len(bodies) == 8  # 4 shuffle-map bodies, 4 result bodies
+
+        shipped_types: set[type] = set()
+
+        class TypeRecordingPickler(ShipPickler):
+            def reducer_override(self, obj):
+                shipped_types.add(type(obj))
+                return super().reducer_override(obj)
+
+        for body in bodies:
+            TypeRecordingPickler(io.BytesIO(), ctx).dump(body)
+        assert ShuffleDependency in shipped_types  # the walk saw the lineage
+        assert DAGScheduler not in shipped_types

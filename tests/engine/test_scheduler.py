@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -120,6 +122,36 @@ class TestSpillFiles:
             ]
             assert len(recoveries) == 1
             assert spills[0].exists()  # the map output was rewritten
+
+
+class _Payload:
+    """Stands in for what a job's lineage pins: inputs, broadcasts."""
+
+
+class TestWarmContextMemory:
+    @staticmethod
+    def _run_shuffle_job(ctx) -> weakref.ref:
+        payload = _Payload()
+        keyed = ctx.parallelize(range(40), 4).map(
+            lambda x: (x % 3, int(payload is not None))
+        )
+        assert sorted(keyed.reduce_by_key(lambda a, b: a + b).collect()) == [
+            (0, 14),
+            (1, 13),
+            (2, 13),
+        ]
+        return weakref.ref(payload)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_finished_job_lineage_is_released(self, tmp_path, backend):
+        config = EngineConfig(
+            spill_dir=str(tmp_path / "spill"), executor_backend=backend, num_workers=2
+        )
+        with GPFContext(config) as ctx:
+            ref = self._run_shuffle_job(ctx)
+            gc.collect()
+            assert ref() is None
+            assert len(ctx._scheduler._map_specs) == 0
 
 
 class TestShuffleCompression:
